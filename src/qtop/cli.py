@@ -4,10 +4,8 @@ failure, 2 parse/usage error."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import kernel
 from .calculus import classify_question, resolve_issue, resolve_sequence
 from .core import (
     GroundSetError,
@@ -29,6 +27,7 @@ from .enumeration import (
 from .negation import clopen_sets, is_sigma_field, machines_agree, negation_question
 from .wire import (
     DocumentError,
+    dumps,
     family_document,
     family_opens,
     outcome_document,
@@ -39,21 +38,30 @@ from .wire import (
 )
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise DocumentError(f"cannot read {path}: not UTF-8 ({e.reason})") from None
 
 
 def _load_topology(path: str) -> Topology:
     ground, family = parse_question(_read(path))
     return make_topology(family)
+
+
+def _non_negative(raw: str) -> int:
+    """argparse type of ``--n`` and ``--limit``."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
+    return value
 
 
 def _points(raw: str) -> list[str]:
@@ -73,10 +81,10 @@ def cmd_validate(args) -> int:
     ground, family = parse_question(_read(args.file))
     ok, violation = is_topology(family)
     if ok:
-        print(_dump({"valid": True}))
+        print(dumps({"valid": True}))
         return 0
     print(
-        _dump(
+        dumps(
             {
                 "valid": False,
                 "axiom": violation.axiom,
@@ -121,7 +129,7 @@ def cmd_clopen(args) -> int:
 def cmd_agree(args) -> int:
     t = _load_topology(args.file)
     print(
-        _dump(
+        dumps(
             {
                 "machines_agree": machines_agree(t),
                 "sigma_field": is_sigma_field(t.family),
@@ -133,7 +141,7 @@ def cmd_agree(args) -> int:
 
 def cmd_sigma(args) -> int:
     ground, family = parse_question(_read(args.file))
-    print(_dump({"sigma_field": is_sigma_field(family)}))
+    print(dumps({"sigma_field": is_sigma_field(family)}))
     return 0
 
 
@@ -142,12 +150,12 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         from .enumeration import count_topologies
 
-        print(_dump({"n": args.n, "count": count_topologies(args.n)}))
+        print(dumps({"n": args.n, "count": count_topologies(args.n)}))
         return 0
     if args.census:
         report = enumeration_report(ground)
         print(
-            _dump(
+            dumps(
                 {
                     "n": report.n,
                     "count": report.count,
@@ -179,15 +187,14 @@ def cmd_parents(args) -> int:
 
 def cmd_efficiency(args) -> int:
     t = _load_topology(args.file)
-    print(_dump({"eliminated": elimination_efficiency(t, args.point)}))
+    print(dumps({"eliminated": elimination_efficiency(t, args.point)}))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtop",
-        description="Question calculus on finite topologies "
-        f"(kernel backend: {kernel.BACKEND})",
+        description="Question calculus on finite topologies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -224,20 +231,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = add("enumerate", cmd_enumerate, "stream all questions on n points")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_non_negative, required=True)
     p.add_argument("--labels", metavar="L1,L2,...")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--census", action="store_true")
 
     p = add("definite", cmd_definite, "questions with a definite answer for a point")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_non_negative, required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--labels", metavar="L1,L2,...")
 
     p = add("parents", cmd_parents, "questions on a superset containing this one")
     p.add_argument("file")
     p.add_argument("--superset", required=True, metavar="L1,L2,...")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_non_negative)
 
     p = add("efficiency", cmd_efficiency, "assertions eliminated by one resolution")
     p.add_argument("file")

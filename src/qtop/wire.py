@@ -52,7 +52,8 @@ def parse_question(text: str) -> tuple[GroundSet, SubsetFamily]:
     return ground, SubsetFamily.from_masks(masks, ground)
 
 
-def _dump(obj: Any) -> str:
+def dumps(obj: Any) -> str:
+    """Compact JSON, the separators every qtop document uses."""
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -65,7 +66,7 @@ def family_opens(f: SubsetFamily) -> list[list[str]]:
 
 
 def question_document(ground: GroundSet, family: SubsetFamily) -> str:
-    return _dump({"elements": list(ground.labels), "opens": family_opens(family)})
+    return dumps({"elements": list(ground.labels), "opens": family_opens(family)})
 
 
 def family_document(family: SubsetFamily) -> str:
@@ -78,7 +79,7 @@ def outcome_document(outcome: ResolutionOutcome) -> str:
         assert outcome.carrier is not None
         obj["carrier"] = subset_labels(outcome.carrier)
     obj["opens"] = family_opens(outcome.result_family)
-    return _dump(obj)
+    return dumps(obj)
 
 
 def steps_document(steps: list[ResolutionStep]) -> str:
@@ -90,4 +91,4 @@ def steps_document(steps: list[ResolutionStep]) -> str:
             obj["carrier"] = subset_labels(step.carrier)
         obj["opens"] = family_opens(step.family)
         out.append(obj)
-    return _dump({"steps": out})
+    return dumps({"steps": out})

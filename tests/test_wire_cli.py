@@ -200,3 +200,29 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["classify"])  # missing file and --point
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "-1"],
+            ["enumerate", "--n", "-1", "--census"],
+            ["definite", "--n", "-1", "--point", "x0"],
+            ["parents", "{doc}", "--superset", "m,s,e", "--limit", "-1"],
+        ],
+    )
+    def test_negative_count_is_a_usage_error(self, argv, t_x_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(doc=t_x_file) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a non-negative integer, got '-1'" in captured.err
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"elements":["\xe9"],"opens":[[],["\xe9"]]}'.encode("latin-1"))
+        assert main(["negate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: not UTF-8")
+        assert captured.err.count("\n") == 1
