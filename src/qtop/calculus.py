@@ -14,12 +14,11 @@ import enum
 from dataclasses import dataclass
 
 from .core import (
-    GroundSet,
+    GroundSetError,
     Subset,
     SubsetFamily,
     Topology,
     make_ground_set,
-    make_topology,
 )
 
 
@@ -60,21 +59,23 @@ def open_sets_containing(t: Topology, x: str) -> SubsetFamily:
 
 def neighborhood_system(t: Topology, x: str) -> SubsetFamily:
     """All supersets of some open set containing ``x`` (not necessarily open)."""
-    opens = open_sets_containing(t, x).masks
-    # Expand only the inclusion-minimal opens; every superset of a
-    # neighborhood is again a neighborhood.
-    minimal = [m for m in opens if not any(o != m and o & ~m == 0 for o in opens)]
+    bit = 1 << t.ground.index(x)
     full = t.ground.full_mask
-    found: set[int] = set()
-    for base in minimal:
-        rest = full & ~base
-        # iterate all supersets of base: base | (submask of rest)
-        sub = rest
-        while True:
-            found.add(base | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
+    # The opens containing x meet in the smallest one, U_x; every
+    # neighborhood of x is a superset of U_x.
+    base = full
+    for m in t.masks:
+        if m & bit:
+            base &= m
+    rest = full & ~base
+    found = []
+    # iterate all supersets of base: base | (submask of rest)
+    sub = rest
+    while True:
+        found.append(base | sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & rest
     return SubsetFamily.from_masks(found, t.ground)
 
 
@@ -121,14 +122,14 @@ def subspace_topology(t: Topology, a: Subset) -> Topology:
             if (restricted >> i) & 1:
                 packed |= 1 << j
         repacked.add(packed)
-    return make_topology(SubsetFamily.from_masks(repacked, sub_ground))
+    return Topology(SubsetFamily.from_masks(repacked, sub_ground))
 
 
 def resolve_sequence(t: Topology, order: list[str]) -> list[ResolutionStep]:
     """Eliminate points in the given order, descending into the subspace
     after every TYPE_I step; stops at the first TYPE_II or TYPE_III."""
     if len(set(order)) != len(order):
-        raise ValueError("points to resolve must be distinct")
+        raise GroundSetError("points to resolve must be distinct")
     steps: list[ResolutionStep] = []
     current = t
     for x in order:

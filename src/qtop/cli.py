@@ -261,13 +261,7 @@ def main(argv=None) -> int:
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (
-        TopologyError,
-        GroundSetError,
-        UnknownLabelError,
-        SizeLimitError,
-        ValueError,
-    ) as e:
+    except (TopologyError, GroundSetError, UnknownLabelError, SizeLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,9 @@
 """Ground sets, bit-vector subsets, subset families, and topology axioms.
 
 Every set of assertions is a bitmask over a fixed, ordered ground set:
-label i corresponds to bit i.  All values here are immutable; families
-keep their members sorted ascending by mask, so equality is structural.
+label i corresponds to bit i.  All values here are immutable.  A family
+is its ascending tuple of masks, so equality is structural; ``Subset``
+objects are made only at the API and wire edges.
 """
 
 from __future__ import annotations
@@ -136,47 +137,43 @@ def complement(s: Subset) -> Subset:
 
 @dataclass(frozen=True)
 class SubsetFamily:
-    """Duplicate-free collection of subsets, sorted ascending by mask.
+    """Duplicate-free collection of subsets, stored as the strictly
+    ascending tuple of their masks; ``Subset`` objects are made only when
+    the family is iterated, at the API and wire edges.
 
-    The direct constructor demands canonical input; use ``of`` to
-    canonicalize an arbitrary iterable.
+    The direct constructor demands canonical input; use ``from_masks`` or
+    ``of`` to canonicalize an arbitrary iterable.
     """
 
-    members: tuple[Subset, ...]
+    masks: tuple[int, ...]
     ground: GroundSet
 
     def __post_init__(self) -> None:
-        prev = -1
-        for s in self.members:
-            if s.ground != self.ground:
-                raise ValueError("family member lies over a different ground set")
-            if s.mask <= prev:
-                raise ValueError("family members must be strictly ascending by mask")
-            prev = s.mask
+        masks = self.masks
+        if any(a >= b for a, b in zip(masks, masks[1:])):
+            raise ValueError("family members must be strictly ascending by mask")
+        if masks and (masks[0] < 0 or masks[-1] > self.ground.full_mask):
+            bad = masks[0] if masks[0] < 0 else masks[-1]
+            raise ValueError(
+                f"mask {bad:#x} has bits outside ground width {self.ground.size}"
+            )
 
     @classmethod
     def of(cls, subsets: Iterable[Subset], ground: GroundSet) -> "SubsetFamily":
-        masks = sorted({s.mask for s in subsets})
-        members = tuple(Subset(m, ground) for m in masks)
-        return cls(members, ground)
+        return cls.from_masks((s.mask for s in subsets), ground)
 
     @classmethod
     def from_masks(cls, masks: Iterable[int], ground: GroundSet) -> "SubsetFamily":
-        members = tuple(Subset(m, ground) for m in sorted(set(masks)))
-        return cls(members, ground)
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(s.mask for s in self.members)
+        return cls(tuple(sorted(set(masks))), ground)
 
     def __iter__(self) -> Iterator[Subset]:
-        return iter(self.members)
+        return (Subset(m, self.ground) for m in self.masks)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
     def __contains__(self, s: Subset) -> bool:
-        return s.ground == self.ground and s.mask in set(self.masks)
+        return s.ground == self.ground and s.mask in self.masks
 
 
 @dataclass(frozen=True)
@@ -231,6 +228,8 @@ class Topology:
     """A subset family satisfying C1-C3: a question, its opens the answers.
 
     The direct constructor trusts its input; ``make_topology`` validates.
+    Results of negation and subspace restriction are topologies by
+    construction and are built trusted.
     """
 
     family: SubsetFamily

@@ -3,13 +3,14 @@ efficiency, and parent questions on supersets."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 from . import kernel
 from .calculus import QuestionType, classify_question
-from .core import GroundSet, SizeLimitError, SubsetFamily, Topology
-from .negation import negation_question
+from .core import GroundSet, SizeLimitError, SubsetFamily, Topology, UnknownLabelError
+from .negation import machines_agree
 
 ENUMERATION_LIMIT = kernel.MAX_N
 
@@ -59,7 +60,7 @@ def enumeration_report(ground: GroundSet) -> EnumerationReport:
     self_dual = 0
     for t in enumerate_topologies(ground):
         count += 1
-        if negation_question(t).masks == t.masks:
+        if machines_agree(t):
             self_dual += 1
         for label in ground.labels:
             kind = classify_question(t, label).kind
@@ -97,7 +98,7 @@ def parent_questions(
     _check_size(superset_ground.size)
     missing = [l for l in t.ground.labels if l not in superset_ground]
     if missing:
-        raise ValueError(
+        raise UnknownLabelError(
             f"labels {missing} of the sub-question are not in the superset ground"
         )
     index = [superset_ground.index(l) for l in t.ground.labels]
@@ -110,10 +111,9 @@ def parent_questions(
         return out
 
     wanted = {embed(m) for m in t.masks}
-    emitted = 0
-    for candidate in enumerate_topologies(superset_ground):
-        if limit is not None and emitted >= limit:
-            return
-        if wanted <= set(candidate.masks):
-            yield candidate
-            emitted += 1
+    found = (
+        Topology(SubsetFamily.from_masks(masks, superset_ground))
+        for masks in kernel.topology_masks(superset_ground.size)
+        if wanted.issubset(masks)
+    )
+    yield from itertools.islice(found, limit)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GroundSet, SubsetFamily, Topology, make_topology
+from .core import SubsetFamily, Topology, is_topology
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,7 @@ class MachinePair:
 def negation_question(t: Topology) -> Topology:
     """The topology of complements of every open of ``t``."""
     full = t.ground.full_mask
-    family = SubsetFamily.from_masks((full & ~m for m in t.masks), t.ground)
-    return make_topology(family)
+    return Topology(SubsetFamily.from_masks((full & ~m for m in t.masks), t.ground))
 
 
 def clopen_sets(t: Topology) -> SubsetFamily:
@@ -46,19 +45,13 @@ def machines_agree(t: Topology) -> bool:
 
 def is_sigma_field(f: SubsetFamily) -> bool:
     """True iff ``f`` contains the empty set and is closed under complement
-    and pairwise union (countable union degenerates to finite here)."""
+    and pairwise union (countable union degenerates to finite here).
+
+    Under complement closure the empty set brings the full set and union
+    closure brings intersection closure, so the rest is the axiom check."""
     full = f.ground.full_mask
     present = set(f.masks)
-    if 0 not in present:
-        return False
-    for a in f.masks:
-        if full & ~a not in present:
-            return False
-    for i, a in enumerate(f.masks):
-        for b in f.masks[i + 1 :]:
-            if a | b not in present:
-                return False
-    return True
+    return all(full & ~m in present for m in f.masks) and is_topology(f)[0]
 
 
 def make_machine_pair(t: Topology) -> MachinePair:

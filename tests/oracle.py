@@ -28,6 +28,24 @@ def axioms_hold(masks: list[int], full: int) -> bool:
     return True
 
 
+def sigma_field_holds(masks: list[int], full: int) -> bool:
+    """Contains the empty set, closed under complement, and closed under
+    the union of every sub-collection."""
+    present = set(masks)
+    if 0 not in present:
+        return False
+    if any(full & ~m not in present for m in masks):
+        return False
+    for r in range(1, len(masks) + 1):
+        for combo in combinations(masks, r):
+            u = 0
+            for m in combo:
+                u |= m
+            if u not in present:
+                return False
+    return True
+
+
 def _pairwise_closed(fam: list[int], present: set[int]) -> bool:
     for i, a in enumerate(fam):
         for b in fam[i + 1 :]:

@@ -2,9 +2,11 @@ import pytest
 
 from qtop import (
     QuestionType,
+    Subset,
     Topology,
     UnknownLabelError,
     classify_question,
+    is_topology,
     neighborhood_system,
     open_sets_containing,
     resolve_issue,
@@ -57,6 +59,19 @@ class TestNeighborhoodSystem:
                     for w in range(g.full_mask + 1):
                         if a & ~w == 0:
                             assert w in nbhds
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_supersets_of_opens_containing_the_point(self, n):
+        g = ground_of(n)
+        for t in all_topologies(n):
+            for x in g.labels:
+                bit = 1 << g.index(x)
+                expected = tuple(
+                    w
+                    for w in range(g.full_mask + 1)
+                    if any(o & bit and o & ~w == 0 for o in t.masks)
+                )
+                assert neighborhood_system(t, x).masks == expected
 
 
 class TestResolveIssue:
@@ -139,6 +154,15 @@ class TestSubspaceTopology:
         sub = subspace_topology(t_x, mse_ground.empty())
         assert sub.ground.size == 0
         assert sub.masks == (0,)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_every_subspace_is_a_topology(self, n):
+        g = ground_of(n)
+        for t in all_topologies(n):
+            for mask in range(g.full_mask + 1):
+                sub = subspace_topology(t, Subset(mask, g))
+                ok, violation = is_topology(sub.family)
+                assert ok, violation
 
 
 class TestResolveSequence:

@@ -88,7 +88,24 @@ class TestSubsetFamily:
     def test_non_canonical_direct_construction_rejected(self):
         g = make_ground_set(["m", "s"])
         with pytest.raises(ValueError):
-            SubsetFamily((g.subset(["s"]), g.subset(["m"])), g)
+            SubsetFamily((2, 1), g)
+        with pytest.raises(ValueError):
+            SubsetFamily((1, 1), g)
+
+    def test_membership_needs_the_mask_and_the_ground(self):
+        g, other = make_ground_set(["m", "s"]), make_ground_set(["a", "b"])
+        fam = SubsetFamily.from_masks([0, 1], g)
+        assert g.subset(["m"]) in fam
+        assert g.subset(["s"]) not in fam
+        assert other.subset(["a"]) not in fam
+
+    @pytest.mark.parametrize("masks", [(-1, 0), (0, 4)])
+    def test_mask_outside_width_rejected(self, masks):
+        g = make_ground_set(["m", "s"])
+        with pytest.raises(ValueError, match="outside ground width"):
+            SubsetFamily(masks, g)
+        with pytest.raises(ValueError, match="outside ground width"):
+            SubsetFamily.from_masks(masks, g)
 
 
 class TestIsTopology:

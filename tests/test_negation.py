@@ -73,6 +73,17 @@ class TestSigmaField:
         assert is_sigma_field(fam)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_matches_brute_force_definition_on_every_family(self, n):
+        from oracle import sigma_field_holds
+
+        g = ground_of(n)
+        full = g.full_mask
+        for code in range(1 << (full + 1)):
+            masks = [m for m in range(full + 1) if (code >> m) & 1]
+            fam = SubsetFamily.from_masks(masks, g)
+            assert is_sigma_field(fam) == sigma_field_holds(masks, full)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_correspondence_with_agreement_and_clopenness(self, n):
         for t in all_topologies(n):
             agree = machines_agree(t)

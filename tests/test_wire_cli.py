@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qtop import DocumentError, parse_question
+from qtop import DocumentError, cli, parse_question
 from qtop.cli import main
 from qtop.wire import question_document
 
@@ -226,3 +226,25 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {path}: not UTF-8")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sequence", "{doc}", "--points", "m,m"],
+            ["parents", "{doc}", "--superset", "m,s"],
+        ],
+    )
+    def test_domain_error_is_one_line_exit_one(self, argv, t_x_file, capsys):
+        assert main([a.format(doc=t_x_file) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_library_bug_escapes_main(self, t_x_file, monkeypatch):
+        def broken(args):
+            raise ValueError("not a domain failure")
+
+        monkeypatch.setattr(cli, "cmd_negate", broken)
+        with pytest.raises(ValueError, match="not a domain failure"):
+            main(["negate", t_x_file])
