@@ -19,6 +19,7 @@ from .core import (
     SubsetFamily,
     Topology,
     make_ground_set,
+    minimal_open,
 )
 
 
@@ -59,15 +60,10 @@ def open_sets_containing(t: Topology, x: str) -> SubsetFamily:
 
 def neighborhood_system(t: Topology, x: str) -> SubsetFamily:
     """All supersets of some open set containing ``x`` (not necessarily open)."""
-    bit = 1 << t.ground.index(x)
-    full = t.ground.full_mask
-    # The opens containing x meet in the smallest one, U_x; every
-    # neighborhood of x is a superset of U_x.
-    base = full
-    for m in t.masks:
-        if m & bit:
-            base &= m
-    rest = full & ~base
+    # Every neighborhood of x is a superset of U_x, the smallest open
+    # containing x.
+    base = minimal_open(t.family, t.ground.index(x))
+    rest = t.ground.full_mask & ~base
     found = []
     # iterate all supersets of base: base | (submask of rest)
     sub = rest

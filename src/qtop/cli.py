@@ -18,6 +18,7 @@ from .core import (
     make_topology,
 )
 from .enumeration import (
+    _check_size,
     enumerate_topologies,
     enumeration_report,
     elimination_efficiency,
@@ -69,6 +70,7 @@ def _points(raw: str) -> list[str]:
 
 
 def _ground_for(n: int, labels: str | None):
+    _check_size(n)  # before any label is made: n may be huge
     if labels is not None:
         names = _points(labels)
         if len(names) != n:

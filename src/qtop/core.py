@@ -9,6 +9,7 @@ objects are made only at the API and wire edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_GROUND_SIZE = 16
@@ -194,8 +195,11 @@ class TopologyError(ValueError):
 def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
     """Check axioms C1-C3; on failure report the first violation found.
 
-    Unions are checked pairwise only: a finite family closed under binary
-    union is closed under arbitrary union.
+    A family holding the empty and full sets is a topology iff it equals
+    the topology it generates, an O(k*n) test.  Only a family that fails
+    it is scanned pairwise, to name the first pair (in
+    ``itertools.combinations`` order, union before intersection) whose
+    union (C2) or intersection (C3) is missing.
     """
     ground = family.ground
     masks = family.masks
@@ -204,23 +208,16 @@ def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
         return False, AxiomViolation("C1", "the empty set is missing")
     if ground.full_mask not in present:
         return False, AxiomViolation("C1", "the full ground set is missing")
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if a | b not in present:
+    if generated_topology(family).masks == masks:
+        return True, None
+    for a, b in combinations(masks, 2):
+        for axiom, name, m in (("C2", "union", a | b), ("C3", "intersection", a & b)):
+            if m not in present:
                 wa, wb = Subset(a, ground), Subset(b, ground)
                 return False, AxiomViolation(
-                    "C2",
-                    f"union of {wa!r} and {wb!r} is not in the family",
-                    (wa, wb),
+                    axiom, f"{name} of {wa!r} and {wb!r} is not in the family", (wa, wb)
                 )
-            if a & b not in present:
-                wa, wb = Subset(a, ground), Subset(b, ground)
-                return False, AxiomViolation(
-                    "C3",
-                    f"intersection of {wa!r} and {wb!r} is not in the family",
-                    (wa, wb),
-                )
-    return True, None
+    raise AssertionError("C1 and pairwise closure hold, yet the family is no topology")
 
 
 @dataclass(frozen=True)
@@ -265,20 +262,26 @@ def make_topology(family: SubsetFamily) -> Topology:
     return Topology(family)
 
 
+def minimal_open(family: SubsetFamily, i: int) -> int:
+    """U_x for the point x at bit ``i``: the meet of the members that
+    contain x, or the full set if none does.  In a topology it is the
+    smallest open containing x."""
+    bit = 1 << i
+    u = family.ground.full_mask
+    for m in family.masks:
+        if m & bit:
+            u &= m
+    return u
+
+
 def generated_topology(family: SubsetFamily) -> Topology:
     """Smallest topology containing every member of ``family``.
 
-    Seeds with the empty and full sets, then closes under pairwise union
-    and intersection to a fixpoint (which covers arbitrary unions too).
+    Its opens are the unions of the minimal opens ``U_x`` (Alexandroff,
+    1937), built in O(k*n) for k opens on n points.
     """
-    ground = family.ground
-    closed = {0, ground.full_mask} | set(family.masks)
-    frontier = list(closed)
-    while frontier:
-        m = frontier.pop()
-        for other in list(closed):
-            for w in (m | other, m & other):
-                if w not in closed:
-                    closed.add(w)
-                    frontier.append(w)
-    return Topology(SubsetFamily.from_masks(closed, ground))
+    opens = {0}
+    for i in range(family.ground.size):
+        u = minimal_open(family, i)
+        opens |= {o | u for o in opens}
+    return Topology(SubsetFamily.from_masks(opens, family.ground))

@@ -25,6 +25,8 @@ def parse_question(text: str) -> tuple[GroundSet, SubsetFamily]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise DocumentError("document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError("document must be an object")
     extra = sorted(set(doc) - {"elements", "opens"})

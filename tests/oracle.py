@@ -28,6 +28,22 @@ def axioms_hold(masks: list[int], full: int) -> bool:
     return True
 
 
+def first_violation(masks: list[int], full: int) -> tuple[str, tuple[int, ...]] | None:
+    """The pairwise axiom scan on ascending masks: None if C1-C3 hold,
+    else the first failed axiom and its witness masks.  Pairs are taken
+    in ``combinations`` order, union checked before intersection."""
+    present = set(masks)
+    if 0 not in present or full not in present:
+        return "C1", ()
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            if a | b not in present:
+                return "C2", (a, b)
+            if a & b not in present:
+                return "C3", (a, b)
+    return None
+
+
 def sigma_field_holds(masks: list[int], full: int) -> bool:
     """Contains the empty set, closed under complement, and closed under
     the union of every sub-collection."""

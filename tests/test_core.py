@@ -5,15 +5,46 @@ from qtop import (
     GroundSetError,
     Subset,
     SubsetFamily,
+    Topology,
     TopologyError,
     complement,
     generated_topology,
+    is_sigma_field,
     is_topology,
     make_ground_set,
     make_topology,
 )
 
-from conftest import all_topologies, ground_of, topology_from_masks
+from conftest import all_topologies, ground_of, oracle_families, topology_from_masks
+from oracle import first_violation
+
+
+def every_family(n: int):
+    """Every family of subsets of ``ground_of(n)``, as ascending masks."""
+    full = (1 << n) - 1
+    for code in range(1 << (full + 1)):
+        yield [m for m in range(full + 1) if (code >> m) & 1]
+
+
+def reported(family: SubsetFamily):
+    """``is_topology``'s verdict in the shape ``first_violation`` returns."""
+    ok, violation = is_topology(family)
+    if ok:
+        return None
+    return violation.axiom, tuple(w.mask for w in violation.witnesses)
+
+
+@st.composite
+def families_on_4_to_8_points(draw):
+    g = make_ground_set([f"x{i}" for i in range(draw(st.integers(4, 8)))])
+    masks = draw(st.sets(st.integers(0, g.full_mask), max_size=10))
+    if draw(st.booleans()):
+        # One open short of a topology: the failure may come late in the scan.
+        opens = generated_topology(SubsetFamily.from_masks(masks, g)).masks
+        masks = set(opens) - {draw(st.sampled_from(opens))}
+    else:
+        masks |= {0, g.full_mask}  # past C1, on to the pairs
+    return SubsetFamily.from_masks(masks, g)
 
 
 class TestGroundSet:
@@ -138,11 +169,20 @@ class TestIsTopology:
         from oracle import axioms_hold
 
         g = ground_of(n)
-        full = g.full_mask
-        for code in range(1 << (full + 1)):
-            masks = [m for m in range(full + 1) if (code >> m) & 1]
+        for masks in every_family(n):
             ok, _ = is_topology(SubsetFamily.from_masks(masks, g))
-            assert ok == axioms_hold(masks, full)
+            assert ok == axioms_hold(masks, g.full_mask)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_report_matches_pairwise_scan_exhaustively(self, n):
+        g = ground_of(n)
+        for masks in every_family(n):
+            fam = SubsetFamily.from_masks(masks, g)
+            assert reported(fam) == first_violation(masks, g.full_mask)
+
+    @given(families_on_4_to_8_points())
+    def test_report_matches_pairwise_scan_on_larger_grounds(self, fam):
+        assert reported(fam) == first_violation(list(fam.masks), fam.ground.full_mask)
 
 
 class TestMakeTopology:
@@ -177,3 +217,30 @@ class TestGeneratedTopology:
     def test_idempotent_on_topologies(self, n):
         for t in all_topologies(n):
             assert generated_topology(t.family).masks == t.masks
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_is_the_smallest_containing_topology(self, n):
+        g = ground_of(n)
+        for masks in every_family(n):
+            smallest = set(range(g.full_mask + 1))
+            for opens in oracle_families(n):
+                if set(masks) <= set(opens):
+                    smallest &= set(opens)
+            fam = SubsetFamily.from_masks(masks, g)
+            assert generated_topology(fam).masks == tuple(sorted(smallest))
+
+
+class TestSixteenPoints:
+    g = make_ground_set([f"x{i}" for i in range(16)])
+
+    def test_discrete_and_chain_validate(self):
+        chain = SubsetFamily.from_masks([(1 << i) - 1 for i in range(17)], self.g)
+        assert is_topology(Topology.discrete(self.g).family) == (True, None)
+        assert is_topology(chain) == (True, None)
+
+    def test_singletons_generate_the_discrete_topology(self):
+        singletons = SubsetFamily.from_masks([1 << i for i in range(16)], self.g)
+        assert generated_topology(singletons) == Topology.discrete(self.g)
+
+    def test_discrete_topology_is_a_sigma_field(self):
+        assert is_sigma_field(Topology.discrete(self.g).family)

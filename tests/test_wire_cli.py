@@ -196,6 +196,31 @@ class TestCliExitCodes:
     def test_size_limit_exits_one(self, capsys):
         assert main(["enumerate", "--n", "6"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "17", "--count-only"],
+            ["definite", "--n", "17", "--point", "x0"],
+            ["enumerate", "--n", str(10**30), "--count-only"],
+        ],
+    )
+    def test_oversized_n_is_refused_before_labels_are_made(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: enumeration limited to ground sets of at most 5 elements, "
+            f"got {argv[2]}\n"
+        )
+
+    def test_deeply_nested_document_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: document is nested too deeply\n"
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["classify"])  # missing file and --point
