@@ -73,9 +73,9 @@ def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
     resolves the whole space in one step."""
     _check_size(ground.size)
     bit = 1 << ground.index(x)
-    for masks in kernel.topology_masks(ground.size):
-        if all(m == 0 or m & bit for m in masks):
-            yield Topology(SubsetFamily.from_masks(masks, ground))
+    forbidden = sum(1 << m for m in range(1, ground.full_mask + 1) if not m & bit)
+    for masks in kernel.topology_masks(ground.size, forbidden=forbidden):
+        yield Topology(SubsetFamily.from_masks(masks, ground))
 
 
 def elimination_efficiency(t: Topology, x: str) -> int:
@@ -110,10 +110,9 @@ def parent_questions(
                 out |= 1 << j
         return out
 
-    wanted = {embed(m) for m in t.masks}
+    required = sum(1 << embed(m) for m in t.masks)
     found = (
         Topology(SubsetFamily.from_masks(masks, superset_ground))
-        for masks in kernel.topology_masks(superset_ground.size)
-        if wanted.issubset(masks)
+        for masks in kernel.topology_masks(superset_ground.size, required=required)
     )
     yield from itertools.islice(found, limit)

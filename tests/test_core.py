@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -244,3 +246,18 @@ class TestSixteenPoints:
 
     def test_discrete_topology_is_a_sigma_field(self):
         assert is_sigma_field(Topology.discrete(self.g).family)
+
+    def test_failing_family_does_not_build_its_whole_closure(self):
+        """The 18 opens generate 2^16; the check gives up after a few points."""
+        singletons = [1 << i for i in range(16)]
+        family = SubsetFamily.from_masks([0, self.g.full_mask, *singletons], self.g)
+        tracemalloc.start()
+        try:
+            ok, violation = is_topology(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not ok
+        assert violation.axiom == "C2"
+        assert [w.mask for w in violation.witnesses] == [1, 2]
+        assert peak < 100_000

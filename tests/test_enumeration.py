@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from qtop import (
@@ -12,6 +14,7 @@ from qtop import (
     make_ground_set,
     parent_questions,
 )
+from qtop import kernel
 
 from conftest import all_topologies, ground_of, oracle_families, topology_from_masks
 
@@ -60,12 +63,48 @@ class TestEnumerate:
             count_topologies(6)
 
 
+class TestConstrainedKernel:
+    """A constrained search returns exactly the full stream filtered by
+    its constraint, in the same order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_forbidding_the_masks_without_a_point(self, n):
+        full = kernel.topology_masks(n)
+        for i in range(n):
+            forbidden = 0
+            for m in range(1, 1 << n):
+                if not m & (1 << i):
+                    forbidden |= 1 << m
+            expected = [f for f in full if not any((forbidden >> m) & 1 for m in f)]
+            assert kernel.topology_masks(n, forbidden=forbidden) == expected
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_requiring_an_embedded_topology(self, n):
+        """Every topology on at most 3 points, placed on n points by every
+        order-preserving injection and by its reverse."""
+        full = kernel.topology_masks(n)
+        full_bits = [sum(1 << m for m in f) for f in full]
+        for k in range(4):
+            placements = {p for c in combinations(range(n), k) for p in (c, c[::-1])}
+            for sub in oracle_families(k):
+                for p in placements:
+                    required = 0
+                    for m in sub:
+                        required |= 1 << sum(1 << j for i, j in enumerate(p) if (m >> i) & 1)
+                    expected = [
+                        f for f, bits in zip(full, full_bits) if bits & required == required
+                    ]
+                    assert kernel.topology_masks(n, required=required) == expected
+
+
 class TestEnumerationReport:
     def test_census_tallies_sum_to_count(self):
-        report = enumeration_report(ground_of(3))
-        assert report.count == 29
-        for label, tally in report.census.items():
-            assert tally["type-1"] + tally["type-2"] == 29
+        for n in range(5):
+            report = enumeration_report(ground_of(n))
+            assert report.count == KNOWN_COUNTS[n]
+            assert len(report.census) == n
+            for label, tally in report.census.items():
+                assert tally["type-1"] + tally["type-2"] == KNOWN_COUNTS[n]
 
     def test_self_dual_count_two_points(self):
         assert enumeration_report(ground_of(2)).self_dual_count == 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -273,3 +274,44 @@ class TestCliExitCodes:
         monkeypatch.setattr(cli, "cmd_negate", broken)
         with pytest.raises(ValueError, match="not a domain failure"):
             main(["negate", t_x_file])
+
+
+class TestPinnedOutput:
+    """Stdout of the constrained searches, pinned by sha256 to the bytes the
+    unconstrained filter-after-enumerate search printed."""
+
+    @pytest.mark.parametrize(
+        "argv, lines, digest",
+        [
+            (
+                ["definite", "--n", "5", "--point", "x2"],
+                500,
+                "90bff8baa6588e965cf4f7e13784e122959a3ed1af78fb78a1f655aa563b92ab",
+            ),
+            (
+                ["definite", "--n", "4", "--point", "x0"],
+                45,
+                "b9e5331a08b71e0ad04e0ea6cfb711637a9c49800cfb8b69d271a66f5a3c16b5",
+            ),
+            (
+                ["parents", "{doc}", "--superset", "m,s,e,a,b"],
+                340,
+                "18ee99da8040c88ec604835f785a5d517005cce2509481498deec7a529465f74",
+            ),
+            (
+                ["parents", "{doc}", "--superset", "m,s,e,a,b", "--limit", "1"],
+                1,
+                "d90fc7250fc87b4d6e1f827d08f7055cdff8352d706dabe22e28177a9b096c67",
+            ),
+            (
+                ["parents", "{doc}", "--superset", "m,s,e,a,b", "--limit", "0"],
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, argv, lines, digest, t_x_file, capsys):
+        assert main([a.format(doc=t_x_file) for a in argv]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
