@@ -19,7 +19,7 @@ from .core import (
     SubsetFamily,
     Topology,
     make_ground_set,
-    minimal_open,
+    minimal_opens,
 )
 
 
@@ -55,14 +55,15 @@ class ResolutionStep:
 def open_sets_containing(t: Topology, x: str) -> SubsetFamily:
     """The open members of the neighborhood system of ``x``."""
     bit = 1 << t.ground.index(x)
-    return SubsetFamily.from_masks((m for m in t.masks if m & bit), t.ground)
+    # A filter of an ascending tuple is ascending: no re-sort needed.
+    return SubsetFamily(tuple(m for m in t.masks if m & bit), t.ground)
 
 
 def neighborhood_system(t: Topology, x: str) -> SubsetFamily:
     """All supersets of some open set containing ``x`` (not necessarily open)."""
     # Every neighborhood of x is a superset of U_x, the smallest open
     # containing x.
-    base = minimal_open(t.family, t.ground.index(x))
+    base = minimal_opens(t.masks, t.ground.size)[t.ground.index(x)]
     rest = t.ground.full_mask & ~base
     found = []
     # iterate all supersets of base: base | (submask of rest)
@@ -84,7 +85,7 @@ def resolve_issue(t: Topology, x: str) -> SubsetFamily:
     if x not in t.ground:
         return SubsetFamily((), t.ground)
     bit = 1 << t.ground.index(x)
-    return SubsetFamily.from_masks((m for m in t.masks if not m & bit), t.ground)
+    return SubsetFamily(tuple(m for m in t.masks if not m & bit), t.ground)
 
 
 def classify_question(t: Topology, x: str) -> ResolutionOutcome:

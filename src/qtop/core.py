@@ -264,16 +264,21 @@ def make_topology(family: SubsetFamily) -> Topology:
     return Topology(family)
 
 
-def minimal_open(family: SubsetFamily, i: int) -> int:
-    """U_x for the point x at bit ``i``: the meet of the members that
-    contain x, or the full set if none does.  In a topology it is the
-    smallest open containing x."""
-    bit = 1 << i
-    u = family.ground.full_mask
-    for m in family.masks:
-        if m & bit:
-            u &= m
-    return u
+def minimal_opens(masks: tuple[int, ...], n: int) -> list[int]:
+    """``U_x`` for every point x of an n-point ground, in bit order: the
+    meet of the masks that contain x, or the full set if none does.  In
+    a topology it is the smallest open containing x, and the n of them
+    fix the topology (Alexandroff, 1937).  O(k*n) for k masks."""
+    full = (1 << n) - 1
+    out = []
+    for i in range(n):
+        bit = 1 << i
+        u = full
+        for m in masks:
+            if m & bit:
+                u &= m
+        out.append(u)
+    return out
 
 
 def generated_topology(family: SubsetFamily) -> Topology:
@@ -293,8 +298,7 @@ def _union_closure(family: SubsetFamily, cap: int) -> set[int]:
     point.  Stops as soon as they number more than ``cap``: the set only
     grows, so the generated topology then has more than ``cap`` opens."""
     opens = {0}
-    for i in range(family.ground.size):
-        u = minimal_open(family, i)
+    for u in minimal_opens(family.masks, family.ground.size):
         opens |= {o | u for o in opens}
         if len(opens) > cap:
             break

@@ -9,8 +9,15 @@ from typing import Iterator
 
 from . import kernel
 from .calculus import QuestionType, classify_question
-from .core import GroundSet, SizeLimitError, SubsetFamily, Topology, UnknownLabelError
-from .negation import machines_agree
+from .core import (
+    GroundSet,
+    SizeLimitError,
+    SubsetFamily,
+    Topology,
+    UnknownLabelError,
+    minimal_opens,
+)
+from .negation import _symmetric
 
 ENUMERATION_LIMIT = kernel.MAX_N
 
@@ -41,8 +48,9 @@ def enumerate_topologies(ground: GroundSet) -> Iterator[Topology]:
     """Every topology on ``ground`` exactly once, in ascending canonical
     order of the family encoding."""
     _check_size(ground.size)
+    # Kernel tuples are strictly ascending and in range: no re-sort.
     for masks in kernel.topology_masks(ground.size):
-        yield Topology(SubsetFamily.from_masks(masks, ground))
+        yield Topology(SubsetFamily(masks, ground))
 
 
 def count_topologies(n: int) -> int:
@@ -51,21 +59,37 @@ def count_topologies(n: int) -> int:
 
 
 def enumeration_report(ground: GroundSet) -> EnumerationReport:
-    _check_size(ground.size)
-    census = {
-        label: {QuestionType.TYPE_I.value: 0, QuestionType.TYPE_II.value: 0}
-        for label in ground.labels
-    }
-    count = 0
+    """Tally every topology on ``ground`` from its n minimal opens ``U_x``
+    alone, with no per-topology objects.
+
+    A point x is type-2 iff it lies in every ``U_y``, for then every
+    non-empty open, a union of minimal opens, contains x; every other
+    point is type-1.  A topology is self-dual (equal to its negation)
+    iff every point y of each ``U_x`` has ``U_y == U_x``.
+    """
+    n = ground.size
+    _check_size(n)
+    all_masks = kernel.topology_masks(n)
     self_dual = 0
-    for t in enumerate_topologies(ground):
-        count += 1
-        if machines_agree(t):
-            self_dual += 1
-        for label in ground.labels:
-            kind = classify_question(t, label).kind
-            census[label][kind.value] += 1
-    return EnumerationReport(ground.size, count, census, self_dual)
+    # Topologies per meet of their minimal opens, spread over the points
+    # once at the end.
+    meets: dict[int, int] = {}
+    for masks in all_masks:
+        us = minimal_opens(masks, n)
+        self_dual += _symmetric(us)
+        meet = ground.full_mask
+        for u in us:
+            meet &= u
+        meets[meet] = meets.get(meet, 0) + 1
+    count = len(all_masks)
+    census = {}
+    for i, label in enumerate(ground.labels):
+        definite = sum(k for meet, k in meets.items() if (meet >> i) & 1)
+        census[label] = {
+            QuestionType.TYPE_I.value: count - definite,
+            QuestionType.TYPE_II.value: definite,
+        }
+    return EnumerationReport(n, count, census, self_dual)
 
 
 def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
@@ -75,7 +99,7 @@ def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
     bit = 1 << ground.index(x)
     forbidden = sum(1 << m for m in range(1, ground.full_mask + 1) if not m & bit)
     for masks in kernel.topology_masks(ground.size, forbidden=forbidden):
-        yield Topology(SubsetFamily.from_masks(masks, ground))
+        yield Topology(SubsetFamily(masks, ground))
 
 
 def elimination_efficiency(t: Topology, x: str) -> int:
@@ -112,7 +136,7 @@ def parent_questions(
 
     required = sum(1 << embed(m) for m in t.masks)
     found = (
-        Topology(SubsetFamily.from_masks(masks, superset_ground))
+        Topology(SubsetFamily(masks, superset_ground))
         for masks in kernel.topology_masks(superset_ground.size, required=required)
     )
     yield from itertools.islice(found, limit)

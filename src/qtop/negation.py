@@ -3,14 +3,15 @@
 The negation of a question replaces every open with its complement; the
 result is always a topology again.  A machine asking a question and the
 anti-machine asking its negation share exactly the clopen sets, and they
-coincide precisely when the question's family is a sigma-field.
+coincide precisely when the question's family is a sigma-field, that is
+when the preorder of its minimal opens is symmetric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SubsetFamily, Topology, is_topology
+from .core import SubsetFamily, Topology, is_topology, minimal_opens
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,9 @@ class MachinePair:
 def negation_question(t: Topology) -> Topology:
     """The topology of complements of every open of ``t``."""
     full = t.ground.full_mask
-    return Topology(SubsetFamily.from_masks((full & ~m for m in t.masks), t.ground))
+    # Complement reverses the order of masks, so the reversed tuple of
+    # complements is ascending.
+    return Topology(SubsetFamily(tuple(full & ~m for m in reversed(t.masks)), t.ground))
 
 
 def clopen_sets(t: Topology) -> SubsetFamily:
@@ -39,8 +42,26 @@ def clopen_sets(t: Topology) -> SubsetFamily:
 
 
 def machines_agree(t: Topology) -> bool:
-    """True iff the question equals its negation (every member clopen)."""
-    return negation_question(t).masks == t.masks
+    """True iff the question equals its negation (every member clopen).
+
+    That holds iff the preorder ``y in U_x`` is symmetric: every point y
+    of a minimal open ``U_x`` has ``U_y == U_x``, so the minimal opens
+    partition the points and each is clopen.  O(k*n), no negation built.
+    """
+    return _symmetric(minimal_opens(t.masks, t.ground.size))
+
+
+def _symmetric(us: list[int]) -> bool:
+    """True iff every point y of each minimal open ``U_x`` in ``us`` (in
+    bit order) has ``U_y == U_x``: the one test of self-duality."""
+    for u in us:
+        rest = u
+        while rest:
+            low = rest & -rest
+            if us[low.bit_length() - 1] != u:
+                return False
+            rest ^= low
+    return True
 
 
 def is_sigma_field(f: SubsetFamily) -> bool:
@@ -60,7 +81,7 @@ def make_machine_pair(t: Topology) -> MachinePair:
         question=t,
         negation=negation,
         shared=clopen_sets(t),
-        self_dual=negation.masks == t.masks,
+        self_dual=machines_agree(t),
     )
 
 
@@ -75,6 +96,5 @@ def atomic_machine_census(
                 raise ValueError("census requires one common ground set")
     out = []
     for t in topologies:
-        negation = negation_question(t)
-        out.append((t, negation, negation.masks == t.masks))
+        out.append((t, negation_question(t), machines_agree(t)))
     return out

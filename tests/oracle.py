@@ -83,3 +83,21 @@ def brute_force_topologies(n: int) -> list[tuple[int, ...]]:
             result.append(tuple(fam))
     result.sort()
     return result
+
+
+def census_tallies(n: int) -> tuple[int, list[int], int]:
+    """Over every topology on n points: their number, the number in which
+    each point (by bit) lies in every non-empty open, and the number
+    closed under complement."""
+    full = (1 << n) - 1
+    families = brute_force_topologies(n)
+    definite = [0] * n
+    self_dual = 0
+    for fam in families:
+        for i in range(n):
+            if all(m >> i & 1 for m in fam if m):
+                definite[i] += 1
+        present = set(fam)
+        if all(full & ~m in present for m in fam):
+            self_dual += 1
+    return len(families), definite, self_dual

@@ -17,6 +17,8 @@ from qtop import (
     make_topology,
 )
 
+from qtop.core import minimal_opens
+
 from conftest import all_topologies, ground_of, oracle_families, topology_from_masks
 from oracle import first_violation
 
@@ -200,6 +202,21 @@ class TestMakeTopology:
         with pytest.raises(TopologyError) as exc:
             make_topology(SubsetFamily.from_masks([1, 2], ms_ground))
         assert exc.value.violation.axiom == "C1"
+
+
+class TestMinimalOpens:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_smallest_open_containing_each_point(self, n):
+        for opens in oracle_families(n):
+            us = minimal_opens(opens, n)
+            assert len(us) == n
+            for i, u in enumerate(us):
+                containing = [m for m in opens if m >> i & 1]
+                assert u in opens and u >> i & 1
+                assert all(u & ~m == 0 for m in containing)
+
+    def test_point_in_no_member_gets_the_full_set(self):
+        assert minimal_opens((0b001, 0b011), 3) == [0b001, 0b011, 0b111]
 
 
 class TestGeneratedTopology:

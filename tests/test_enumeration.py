@@ -109,6 +109,63 @@ class TestEnumerationReport:
     def test_self_dual_count_two_points(self):
         assert enumeration_report(ground_of(2)).self_dual_count == 2
 
+    @pytest.mark.parametrize("labels", ["", "a", "b,a", "c,a,b", "d,b,a,c"])
+    def test_matches_oracle_tallies(self, labels):
+        """Type-2 iff every non-empty open contains the point, self-dual
+        iff the family is closed under complement; the census lists the
+        labels in ground order, type-1 before type-2."""
+        from oracle import census_tallies
+
+        g = make_ground_set(labels.split(",") if labels else [])
+        count, definite, self_dual = census_tallies(g.size)
+        report = enumeration_report(g)
+        assert (report.n, report.count, report.self_dual_count) == (
+            g.size,
+            count,
+            self_dual,
+        )
+        expected = {
+            label: {"type-1": count - definite[i], "type-2": definite[i]}
+            for i, label in enumerate(g.labels)
+        }
+        assert report.census == expected
+        assert list(report.census) == list(g.labels)
+        assert all(list(t) == ["type-1", "type-2"] for t in report.census.values())
+
+    def test_five_points_match_per_topology_calculus(self):
+        """All 6942 topologies on 5 points: classify every point and test
+        self-duality as the negation being the question itself."""
+        from qtop import classify_question, negation_question
+
+        g = make_ground_set(["c", "e", "a", "d", "b"])
+        census = {label: {"type-1": 0, "type-2": 0} for label in g.labels}
+        self_dual = 0
+        for t in enumerate_topologies(g):
+            self_dual += negation_question(t).masks == t.masks
+            for label in g.labels:
+                census[label][classify_question(t, label).kind.value] += 1
+        report = enumeration_report(g)
+        assert report.count == KNOWN_COUNTS[5]
+        assert report.self_dual_count == self_dual
+        assert report.census == census
+        assert list(report.census) == list(g.labels)
+
+    def test_builds_no_per_topology_objects(self, monkeypatch):
+        import qtop.calculus
+        import qtop.core
+        import qtop.enumeration
+        import qtop.negation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the census must not call this")
+
+        for module in (qtop.calculus, qtop.enumeration):
+            monkeypatch.setattr(module, "classify_question", refuse)
+        monkeypatch.setattr(qtop.negation, "negation_question", refuse)
+        monkeypatch.setattr(qtop.core.SubsetFamily, "__post_init__", refuse)
+        report = enumeration_report(ground_of(4))
+        assert report.count == KNOWN_COUNTS[4]
+
 
 class TestFindDefiniteQuestions:
     def test_two_point_space(self, ms_ground):

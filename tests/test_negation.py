@@ -7,6 +7,7 @@ from qtop import (
     is_sigma_field,
     is_topology,
     machines_agree,
+    make_ground_set,
     make_machine_pair,
     negation_question,
 )
@@ -27,6 +28,17 @@ class TestNegationQuestion:
     def test_indiscrete_is_self_dual(self, mse_ground):
         t = Topology.indiscrete(mse_ground)
         assert negation_question(t).masks == t.masks
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_equals_canonicalized_complements(self, n):
+        for t in all_topologies(n):
+            full = t.ground.full_mask
+            expected = SubsetFamily.from_masks((full & ~m for m in t.masks), t.ground)
+            assert negation_question(t).family == expected
+
+    def test_sixteen_point_discrete_negates_to_itself(self):
+        t = Topology.discrete(make_ground_set([f"p{i}" for i in range(16)]))
+        assert negation_question(t).masks == tuple(range(1 << 16))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_negation_is_a_topology_and_an_involution(self, n):
@@ -89,6 +101,23 @@ class TestSigmaField:
             agree = machines_agree(t)
             assert agree == is_sigma_field(t.family)
             assert agree == (clopen_sets(t).masks == t.masks)
+
+
+class TestMachinesAgree:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_equals_negation_equality(self, n):
+        for t in all_topologies(n):
+            assert machines_agree(t) == (negation_question(t).masks == t.masks)
+
+    def test_builds_no_negation(self, monkeypatch, mse_ground):
+        import qtop.negation
+
+        def refuse(t):
+            raise AssertionError("machines_agree must not negate")
+
+        monkeypatch.setattr(qtop.negation, "negation_question", refuse)
+        assert machines_agree(Topology.discrete(mse_ground))
+        assert not machines_agree(topology_from_masks([0, 1, 3, 7], mse_ground))
 
 
 class TestMachinePair:

@@ -277,8 +277,9 @@ class TestCliExitCodes:
 
 
 class TestPinnedOutput:
-    """Stdout of the constrained searches, pinned by sha256 to the bytes the
-    unconstrained filter-after-enumerate search printed."""
+    """Stdout pinned by sha256: the constrained searches to the bytes the
+    unconstrained filter-after-enumerate search printed, and the census,
+    negation and agreement to the bytes of the per-topology calculus."""
 
     @pytest.mark.parametrize(
         "argv, lines, digest",
@@ -307,6 +308,26 @@ class TestPinnedOutput:
                 ["parents", "{doc}", "--superset", "m,s,e,a,b", "--limit", "0"],
                 0,
                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                ["enumerate", "--n", "5", "--census"],
+                1,
+                "a221d85ec0570821fa370737ca58daea4673df48c4db9708de35bb5ab28b5ee6",
+            ),
+            (
+                ["enumerate", "--n", "4", "--census", "--labels", "d,b,a,c"],
+                1,
+                "9690ed94b47fdcf6c8187c80adf752e831d9acffe2450ea1c0be7fca6dddd91b",
+            ),
+            (
+                ["negate", "{doc}"],
+                1,
+                "0c46188abf38a45e498d1b27964f6f24286e2669fcddd964d71901a54e583305",
+            ),
+            (
+                ["agree", "{doc}"],
+                1,
+                "016ad64f58b98cc35d70acb40e0df53ddba3b9b7470cd4acbff2f1d3abb5d1a1",
             ),
         ],
     )
