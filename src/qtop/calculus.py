@@ -110,15 +110,7 @@ def subspace_topology(t: Topology, a: Subset) -> Topology:
     if a.ground != t.ground:
         raise ValueError("carrier lies over a different ground set")
     sub_ground = make_ground_set(a.labels())
-    positions = [i for i in range(t.ground.size) if (a.mask >> i) & 1]
-    repacked = set()
-    for m in t.masks:
-        restricted = m & a.mask
-        packed = 0
-        for j, i in enumerate(positions):
-            if (restricted >> i) & 1:
-                packed |= 1 << j
-        repacked.add(packed)
+    repacked = {sub_ground.mask_of(t.ground.labels_of(m & a.mask)) for m in t.masks}
     return Topology(SubsetFamily.from_masks(repacked, sub_ground))
 
 

@@ -19,6 +19,7 @@ from .core import (
 )
 from .enumeration import (
     _check_size,
+    count_topologies,
     enumerate_topologies,
     enumeration_report,
     elimination_efficiency,
@@ -30,7 +31,6 @@ from .wire import (
     DocumentError,
     dumps,
     family_document,
-    family_opens,
     outcome_document,
     parse_question,
     question_document,
@@ -150,8 +150,6 @@ def cmd_sigma(args) -> int:
 def cmd_enumerate(args) -> int:
     ground = _ground_for(args.n, args.labels)
     if args.count_only:
-        from .enumeration import count_topologies
-
         print(dumps({"n": args.n, "count": count_topologies(args.n)}))
         return 0
     if args.census:

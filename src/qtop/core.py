@@ -1,15 +1,16 @@
 """Ground sets, bit-vector subsets, subset families, and topology axioms.
 
 Every set of assertions is a bitmask over a fixed, ordered ground set:
-label i corresponds to bit i.  All values here are immutable.  A family
-is its ascending tuple of masks, so equality is structural; ``Subset``
-objects are made only at the API and wire edges.
+label i is bit i, and ``GroundSet.mask_of`` and ``labels_of`` translate
+between the two.  All values are immutable.  A family is its ascending
+tuple of masks, so equality is structural; ``Subset`` objects are made
+only at the API edge.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -33,6 +34,10 @@ class GroundSet:
     """Ordered finite set of irreducible assertions; order fixes bit indices."""
 
     labels: tuple[str, ...]
+    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_bits", {l: i for i, l in enumerate(self.labels)})
 
     @property
     def size(self) -> int:
@@ -43,21 +48,27 @@ class GroundSet:
         return (1 << len(self.labels)) - 1
 
     def __contains__(self, label: str) -> bool:
-        return label in self.labels
+        return isinstance(label, str) and label in self._bits
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._bits[label]
+        except (KeyError, TypeError):
             raise UnknownLabelError(
                 f"label {label!r} is not in ground set {list(self.labels)}"
             ) from None
 
-    def subset(self, labels: Iterable[str] = ()) -> "Subset":
+    def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
         for label in labels:
             mask |= 1 << self.index(label)
-        return Subset(mask, self)
+        return mask
+
+    def labels_of(self, mask: int) -> tuple[str, ...]:
+        return tuple(l for i, l in enumerate(self.labels) if (mask >> i) & 1)
+
+    def subset(self, labels: Iterable[str] = ()) -> "Subset":
+        return Subset(self.mask_of(labels), self)
 
     def empty(self) -> "Subset":
         return Subset(0, self)
@@ -96,9 +107,7 @@ class Subset:
             )
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(
-            label for i, label in enumerate(self.ground.labels) if (self.mask >> i) & 1
-        )
+        return self.ground.labels_of(self.mask)
 
     def __contains__(self, label: str) -> bool:
         return (self.mask >> self.ground.index(label)) & 1 == 1
@@ -141,7 +150,7 @@ def complement(s: Subset) -> Subset:
 class SubsetFamily:
     """Duplicate-free collection of subsets, stored as the strictly
     ascending tuple of their masks; ``Subset`` objects are made only when
-    the family is iterated, at the API and wire edges.
+    the family is iterated, at the API edge.
 
     The direct constructor demands canonical input; use ``from_masks`` or
     ``of`` to canonicalize an arbitrary iterable.

@@ -125,16 +125,9 @@ def parent_questions(
         raise UnknownLabelError(
             f"labels {missing} of the sub-question are not in the superset ground"
         )
-    index = [superset_ground.index(l) for l in t.ground.labels]
-
-    def embed(m: int) -> int:
-        out = 0
-        for i, j in enumerate(index):
-            if (m >> i) & 1:
-                out |= 1 << j
-        return out
-
-    required = sum(1 << embed(m) for m in t.masks)
+    required = sum(
+        1 << superset_ground.mask_of(t.ground.labels_of(m)) for m in t.masks
+    )
     found = (
         Topology(SubsetFamily(masks, superset_ground))
         for masks in kernel.topology_masks(superset_ground.size, required=required)

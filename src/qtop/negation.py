@@ -36,9 +36,8 @@ def clopen_sets(t: Topology) -> SubsetFamily:
     """Opens whose complement is also open: the shared information."""
     full = t.ground.full_mask
     present = set(t.masks)
-    return SubsetFamily.from_masks(
-        (m for m in t.masks if full & ~m in present), t.ground
-    )
+    # A filter of an ascending tuple is ascending: no re-sort needed.
+    return SubsetFamily(tuple(m for m in t.masks if full & ~m in present), t.ground)
 
 
 def machines_agree(t: Topology) -> bool:

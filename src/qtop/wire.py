@@ -11,7 +11,14 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import GroundSet, GroundSetError, Subset, SubsetFamily, make_ground_set
+from .core import (
+    GroundSet,
+    GroundSetError,
+    Subset,
+    SubsetFamily,
+    UnknownLabelError,
+    make_ground_set,
+)
 from .calculus import QuestionType, ResolutionOutcome, ResolutionStep
 
 
@@ -45,12 +52,11 @@ def parse_question(text: str) -> tuple[GroundSet, SubsetFamily]:
     for i, entry in enumerate(doc["opens"]):
         if not isinstance(entry, list):
             raise DocumentError(f"opens[{i}]: must be a list of labels")
-        mask = 0
-        for label in entry:
-            if not isinstance(label, str) or label not in ground:
-                raise DocumentError(f"opens[{i}]: unknown label {label!r}")
-            mask |= 1 << ground.index(label)
-        masks.add(mask)
+        try:
+            masks.add(ground.mask_of(entry))
+        except UnknownLabelError:
+            bad = next(label for label in entry if label not in ground)
+            raise DocumentError(f"opens[{i}]: unknown label {bad!r}") from None
     return ground, SubsetFamily.from_masks(masks, ground)
 
 
@@ -64,7 +70,7 @@ def subset_labels(s: Subset) -> list[str]:
 
 
 def family_opens(f: SubsetFamily) -> list[list[str]]:
-    return [list(s.labels()) for s in f]
+    return [list(f.ground.labels_of(m)) for m in f.masks]
 
 
 def question_document(ground: GroundSet, family: SubsetFamily) -> str:

@@ -199,23 +199,32 @@ def test_criterion_10_parent_questions():
                 x_labels = [
                     l for i, l in enumerate(y_ground.labels) if (x_mask >> i) & 1
                 ]
-                x_ground = make_ground_set(x_labels)
-                position = [y_ground.index(l) for l in x_labels]
+                # The superset's label order, and orders that break it.
+                orders = {
+                    tuple(x_labels),
+                    tuple(reversed(x_labels)),
+                    tuple(x_labels[1:] + x_labels[:1]),
+                }
+                for order in sorted(orders):
+                    check_parents(order, y_ground, y_families)
 
-                def embed(m):
-                    out = 0
-                    for i, j in enumerate(position):
-                        if (m >> i) & 1:
-                            out |= 1 << j
-                    return out
 
-                for t_masks in brute_force_topologies(len(x_labels)):
-                    t = topology_from_masks(t_masks, x_ground)
-                    wanted = {embed(m) for m in t_masks}
-                    expected = [
-                        fam for fam in y_families if wanted <= set(fam)
-                    ]
-                    got = [p.masks for p in parent_questions(t, y_ground)]
-                    assert sorted(got) == expected
-                    if len(t_masks) == 1 << len(x_labels):  # t discrete
-                        assert got
+def check_parents(x_labels, y_ground, y_families):
+    x_ground = make_ground_set(x_labels)
+    position = [y_ground.index(l) for l in x_labels]
+
+    def embed(m):
+        out = 0
+        for i, j in enumerate(position):
+            if (m >> i) & 1:
+                out |= 1 << j
+        return out
+
+    for t_masks in brute_force_topologies(len(x_labels)):
+        t = topology_from_masks(t_masks, x_ground)
+        wanted = {embed(m) for m in t_masks}
+        expected = [fam for fam in y_families if wanted <= set(fam)]
+        got = [p.masks for p in parent_questions(t, y_ground)]
+        assert sorted(got) == expected
+        if len(t_masks) == 1 << len(x_labels):  # t discrete
+            assert got

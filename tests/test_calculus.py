@@ -112,6 +112,16 @@ class TestClassifyQuestion:
         assert outcome.kind is QuestionType.TYPE_III
         assert outcome.result_family.masks == ()
 
+    def test_unhashable_point_is_absent(self, t_x):
+        # Membership and lookup stay total on values a label dict cannot hash.
+        x = ["m"]
+        assert x not in t_x.ground
+        with pytest.raises(UnknownLabelError):
+            t_x.ground.index(x)
+        outcome = classify_question(t_x, x)
+        assert outcome.kind is QuestionType.TYPE_III
+        assert outcome.result_family.masks == ()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trichotomy_and_type_one_subspace_law(self, n):
         g = ground_of(n)

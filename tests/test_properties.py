@@ -20,8 +20,14 @@ from qtop.wire import family_document
 
 @st.composite
 def family_pairs(draw):
-    """A family on 6-16 points and a sub-family of it."""
-    g = make_ground_set([f"x{i}" for i in range(draw(st.integers(6, 16)))])
+    """A family on 6-16 points and a sub-family of it.  The labels are
+    either ``x0, x1, ...`` or letters in shuffled order, so that bit order
+    and name order disagree."""
+    n = draw(st.integers(6, 16))
+    labels = [f"x{i}" for i in range(n)]
+    if draw(st.booleans()):
+        labels = draw(st.permutations("abcdefghijklmnop"[:n]))
+    g = make_ground_set(labels)
     masks = draw(st.sets(st.integers(0, g.full_mask), max_size=4))
     sub = draw(st.sets(st.sampled_from(sorted(masks)))) if masks else set()
     return SubsetFamily.from_masks(sub, g), SubsetFamily.from_masks(masks, g)

@@ -48,6 +48,22 @@ class TestParseQuestion:
         with pytest.raises(DocumentError, match=r"opens\[1\]"):
             parse_question('{"elements":["m"],"opens":[[],["z"]]}')
 
+    @pytest.mark.parametrize(
+        "opens, message",
+        [
+            ([[], [1]], "opens[1]: unknown label 1"),
+            ([[], [["s"]]], "opens[1]: unknown label ['s']"),
+            ([[], [{}]], "opens[1]: unknown label {}"),
+            # The first bad entry is named, and within it the first bad label.
+            ([[], ["m"], ["s", "z", "q"], ["y"]], "opens[2]: unknown label 'z'"),
+        ],
+    )
+    def test_unknown_label_message(self, opens, message):
+        text = json.dumps({"elements": ["m", "s"], "opens": opens})
+        with pytest.raises(DocumentError) as e:
+            parse_question(text)
+        assert str(e.value) == message
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(DocumentError, match="line 1"):
             parse_question("{nope")
@@ -276,10 +292,27 @@ class TestCliExitCodes:
             main(["negate", t_x_file])
 
 
+# 14 labels, not in name order.  The opens are every subset of the nine
+# labels in ``WIDE_LOW`` and the full set, so the negation differs from
+# the question.
+WIDE_ELEMENTS = ["n", "c", "k", "a", "m", "h", "b", "l", "e", "j", "d", "g", "f", "i"]
+WIDE_LOW = ["k", "a", "h", "b", "e", "j", "d", "f", "i"]
+WIDE_DOC = json.dumps(
+    {
+        "elements": WIDE_ELEMENTS,
+        "opens": [[l for i, l in enumerate(WIDE_LOW) if m >> i & 1] for m in range(512)]
+        + [WIDE_ELEMENTS],
+    }
+)
+
+
 class TestPinnedOutput:
     """Stdout pinned by sha256: the constrained searches to the bytes the
-    unconstrained filter-after-enumerate search printed, and the census,
-    negation and agreement to the bytes of the per-topology calculus."""
+    unconstrained filter-after-enumerate search printed, the census,
+    negation and agreement to the bytes of the per-topology calculus, and
+    the calculus commands, on grounds whose labels are not in name order,
+    to the bytes printed before the label-bit codec moved onto
+    ``GroundSet``."""
 
     @pytest.mark.parametrize(
         "argv, lines, digest",
@@ -329,10 +362,53 @@ class TestPinnedOutput:
                 1,
                 "016ad64f58b98cc35d70acb40e0df53ddba3b9b7470cd4acbff2f1d3abb5d1a1",
             ),
+            (
+                ["classify", "{doc}", "--point", "e"],
+                1,
+                "f507f46ad41190ced349a5b39a112d943f9e2f24c2caa4a79d75a0d4d51e03b5",
+            ),
+            (
+                ["classify", "{doc}", "--point", "m"],
+                1,
+                "1ee6c244392bae561c4afa34241573f0fe83692f8b192eadc7fb74e6541c2d22",
+            ),
+            (
+                ["resolve", "{doc}", "--point", "e"],
+                1,
+                "b004dc2cb5e02cc7a561ecdac9dbb05b46a2447712cb6d4688e41d4a14cd3395",
+            ),
+            (
+                ["sequence", "{doc}", "--points", "e,s"],
+                1,
+                "58fd62bcc33834484622b26d96b4062f39b7feecb799037aca3dd03dbdfb47da",
+            ),
+            (
+                ["clopen", "{doc}"],
+                1,
+                "3d791b4aed7ef58a8a2413fbf938e223058f2d7005511eea47587952497b9d50",
+            ),
+            (
+                ["negate", "{wide}"],
+                1,
+                "be65618090d44199fa6b221f6cad5b6e8374edca519a0c48f2dd35238517311c",
+            ),
+            (
+                ["sequence", "{wide}", "--points", "g,k,a,n"],
+                1,
+                "bb23bf381125236a86e99a013e8cd27a11e20c4faaf45d4899ce1d53b1f7ea15",
+            ),
+            (
+                ["parents", "{doc}", "--superset", "b,e,a,s,m"],
+                340,
+                "ff0cef29e443cdea016e777847b2506fe0d55fe987ff505f6e5b14831eb4c3fe",
+            ),
         ],
     )
-    def test_stdout_digest(self, argv, lines, digest, t_x_file, capsys):
-        assert main([a.format(doc=t_x_file) for a in argv]) == 0
+    def test_stdout_digest(self, argv, lines, digest, t_x_file, tmp_path, capsys):
+        wide = tmp_path / "wide.json"
+        wide.write_text(WIDE_DOC)
+        argv = [a.format(doc=t_x_file, wide=wide) for a in argv]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert out.count("\n") == lines
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
