@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import __version__
 from .calculus import classify_question, resolve_issue, resolve_sequence
 from .core import (
     GroundSetError,
@@ -196,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qtop",
         description="Question calculus on finite topologies",
     )
+    parser.add_argument("--version", action="version", version=f"qtop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help):

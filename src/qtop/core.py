@@ -37,7 +37,9 @@ class GroundSet:
     _bits: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_bits", {l: i for i, l in enumerate(self.labels)})
+        object.__setattr__(
+            self, "_bits", {l: 1 << i for i, l in enumerate(self.labels)}
+        )
 
     @property
     def size(self) -> int:
@@ -52,20 +54,37 @@ class GroundSet:
 
     def index(self, label: str) -> int:
         try:
-            return self._bits[label]
+            return self._bits[label].bit_length() - 1
         except (KeyError, TypeError):
-            raise UnknownLabelError(
-                f"label {label!r} is not in ground set {list(self.labels)}"
-            ) from None
+            raise self._unknown(label) from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
+        bits = self._bits
+        labels = iter(labels)  # a non-iterable raises here, not as a label
         mask = 0
-        for label in labels:
-            mask |= 1 << self.index(label)
+        try:
+            for label in labels:
+                mask |= bits[label]
+        except (KeyError, TypeError):
+            raise self._unknown(label) from None
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(l for i, l in enumerate(self.labels) if (mask >> i) & 1)
+        """The labels of ``mask``'s set bits, in bit order."""
+        labels = self.labels
+        if mask >> len(labels):  # a negative mask shifts to -1
+            raise _outside_width(mask, self)
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+    def _unknown(self, label: object) -> UnknownLabelError:
+        return UnknownLabelError(
+            f"label {label!r} is not in ground set {list(self.labels)}"
+        )
 
     def subset(self, labels: Iterable[str] = ()) -> "Subset":
         return Subset(self.mask_of(labels), self)
@@ -93,6 +112,10 @@ def make_ground_set(labels: Iterable[str]) -> GroundSet:
     return GroundSet(labels)
 
 
+def _outside_width(mask: int, ground: GroundSet) -> ValueError:
+    return ValueError(f"mask {mask:#x} has bits outside ground width {ground.size}")
+
+
 @dataclass(frozen=True)
 class Subset:
     """One subset of a ground set, encoded as a bitmask of its width."""
@@ -102,15 +125,13 @@ class Subset:
 
     def __post_init__(self) -> None:
         if self.mask & ~self.ground.full_mask:
-            raise ValueError(
-                f"mask {self.mask:#x} has bits outside ground width {self.ground.size}"
-            )
+            raise _outside_width(self.mask, self.ground)
 
     def labels(self) -> tuple[str, ...]:
         return self.ground.labels_of(self.mask)
 
     def __contains__(self, label: str) -> bool:
-        return (self.mask >> self.ground.index(label)) & 1 == 1
+        return label in self.ground and (self.mask >> self.ground.index(label)) & 1 == 1
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -164,10 +185,7 @@ class SubsetFamily:
         if not all(map(operator.lt, masks, masks[1:])):
             raise ValueError("family members must be strictly ascending by mask")
         if masks and (masks[0] < 0 or masks[-1] > self.ground.full_mask):
-            bad = masks[0] if masks[0] < 0 else masks[-1]
-            raise ValueError(
-                f"mask {bad:#x} has bits outside ground width {self.ground.size}"
-            )
+            raise _outside_width(masks[0] if masks[0] < 0 else masks[-1], self.ground)
 
     @classmethod
     def of(cls, subsets: Iterable[Subset], ground: GroundSet) -> "SubsetFamily":

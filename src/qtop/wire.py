@@ -69,8 +69,10 @@ def subset_labels(s: Subset) -> list[str]:
     return list(s.labels())
 
 
-def family_opens(f: SubsetFamily) -> list[list[str]]:
-    return [list(f.ground.labels_of(m)) for m in f.masks]
+def family_opens(f: SubsetFamily) -> list[tuple[str, ...]]:
+    """The opens' label tuples, which ``json.dumps`` writes as arrays."""
+    labels_of = f.ground.labels_of
+    return [labels_of(m) for m in f.masks]
 
 
 def question_document(ground: GroundSet, family: SubsetFamily) -> str:

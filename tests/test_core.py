@@ -78,6 +78,13 @@ class TestGroundSet:
     def test_sixteen_elements_allowed(self):
         assert make_ground_set([f"x{i}" for i in range(16)]).size == 16
 
+    @pytest.mark.parametrize("mask, text", [(-1, "-0x1"), (0b100, "0x4"), (0b111, "0x7")])
+    def test_labels_of_rejects_masks_outside_the_width(self, mask, text):
+        g = make_ground_set(["a", "b"])
+        with pytest.raises(ValueError) as exc:
+            g.labels_of(mask)
+        assert str(exc.value) == f"mask {text} has bits outside ground width 2"
+
 
 class TestSubset:
     def test_complement(self):
@@ -90,6 +97,13 @@ class TestSubset:
         g = make_ground_set(["m"])
         with pytest.raises(ValueError):
             Subset(2, g)
+
+    def test_foreign_labels_are_not_members(self):
+        s = make_ground_set(["a", "b"]).subset(["a"])
+        assert "a" in s
+        assert "b" not in s
+        for foreign in ("z", "", 0, None, ["a"], {}):
+            assert foreign not in s
 
     @given(st.integers(min_value=0, max_value=31))
     def test_complement_involution(self, mask):

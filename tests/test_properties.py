@@ -1,14 +1,19 @@
-"""Laws on 6-16 points, where the exhaustive oracle cannot reach.
+"""Laws on 6-16 points, where the exhaustive oracle cannot reach, and
+the label<->bit codec on 0-16 points.
 
 Families have at most four members, so the topology they generate has at
 most 168 opens (the free distributive lattice on four generators, with
 the empty and the full set) however wide the ground.
 """
 
+import hashlib
+
+import pytest
 from hypothesis import given, strategies as st
 
 from qtop import (
     SubsetFamily,
+    UnknownLabelError,
     generated_topology,
     is_topology,
     make_ground_set,
@@ -64,3 +69,65 @@ def test_negation_is_an_involution(pair):
 def test_parse_inverts_serialize(pair):
     for f in (*pair, generated_topology(pair[1]).family):
         assert parse_question(family_document(f)) == (f.ground, f)
+
+
+@st.composite
+def grounds_and_masks(draw):
+    """A ground of 0-16 letters in shuffled order and a mask on it."""
+    letters = draw(st.permutations("abcdefghijklmnop"))
+    g = make_ground_set(letters[: draw(st.integers(0, 16))])
+    return g, draw(st.integers(0, g.full_mask))
+
+
+@given(grounds_and_masks())
+def test_labels_of_lists_the_set_bits_in_bit_order(pair):
+    g, m = pair
+    labels = g.labels_of(m)
+    assert labels == tuple(l for i, l in enumerate(g.labels) if (m >> i) & 1)
+    assert g.mask_of(labels) == m
+
+
+@given(grounds_and_masks(), st.data())
+def test_mask_of_ignores_order_and_duplicates(pair, data):
+    g, m = pair
+    labels = list(g.labels_of(m))
+    if labels:
+        labels += data.draw(st.lists(st.sampled_from(labels), max_size=16))
+    assert g.mask_of(data.draw(st.permutations(labels))) == m
+
+
+@pytest.mark.parametrize(
+    "labels, bad, text",
+    [
+        (["b", "z", "y"], "z", "'z'"),
+        (["a", ["b"]], ["b"], "['b']"),
+        ([1], 1, "1"),
+        (["b", {}], {}, "{}"),
+    ],
+)
+def test_unknown_label_message(labels, bad, text):
+    """``mask_of`` names the first bad label, as ``index`` names it."""
+    g = make_ground_set(["a", "b"])
+    message = f"label {text} is not in ground set ['a', 'b']"
+    with pytest.raises(UnknownLabelError) as exc:
+        g.mask_of(labels)
+    assert str(exc.value) == message
+    with pytest.raises(UnknownLabelError) as exc:
+        g.index(bad)
+    assert str(exc.value) == message
+
+
+def test_mask_of_a_non_iterable_is_a_type_error():
+    with pytest.raises(TypeError, match="not iterable"):
+        make_ground_set(["a"]).mask_of(1)
+
+
+def test_discrete_document_on_sixteen_shuffled_labels():
+    # Every one of the 65536 masks, so bit 15 and every popcount are
+    # written; the digest was taken before labels_of walked set bits.
+    g = make_ground_set("nckamhblejdgpfio")
+    doc = family_document(SubsetFamily(tuple(range(1 << 16)), g))
+    assert (
+        hashlib.sha256(doc.encode("utf-8")).hexdigest()
+        == "51ef7e2911d68014f21df2037861385f90fa0a643df030d9525370f256e2c725"
+    )

@@ -238,6 +238,12 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err == "error: document is nested too deeply\n"
 
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == ("qtop 0.1.0\n", "")
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["classify"])  # missing file and --point
