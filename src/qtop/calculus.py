@@ -11,13 +11,14 @@ remainder is empty (an irrelevant question).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .core import (
+    Frozen,
     GroundSetError,
     Subset,
     SubsetFamily,
     Topology,
+    _set,
     make_ground_set,
     minimal_opens,
 )
@@ -29,27 +30,42 @@ class QuestionType(enum.Enum):
     TYPE_III = "type-3"
 
 
-@dataclass(frozen=True)
-class ResolutionOutcome:
+class ResolutionOutcome(Frozen):
     """Classified result of eliminating one point from a question.
 
     ``carrier`` is present only for TYPE_I: the union of all opens that
     avoid the point, on which ``result_family`` is a subspace topology.
     """
 
-    kind: QuestionType
-    result_family: SubsetFamily
-    carrier: Subset | None = None
+    __slots__ = _fields = ("kind", "result_family", "carrier")
+
+    def __init__(
+        self,
+        kind: QuestionType,
+        result_family: SubsetFamily,
+        carrier: Subset | None = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "result_family", result_family)
+        _set(self, "carrier", carrier)
 
 
-@dataclass(frozen=True)
-class ResolutionStep:
+class ResolutionStep(Frozen):
     """One step of an iterated elimination chain."""
 
-    point: str
-    kind: QuestionType
-    carrier: Subset | None
-    family: SubsetFamily
+    __slots__ = _fields = ("point", "kind", "carrier", "family")
+
+    def __init__(
+        self,
+        point: str,
+        kind: QuestionType,
+        carrier: Subset | None,
+        family: SubsetFamily,
+    ) -> None:
+        _set(self, "point", point)
+        _set(self, "kind", kind)
+        _set(self, "carrier", carrier)
+        _set(self, "family", family)
 
 
 def open_sets_containing(t: Topology, x: str) -> SubsetFamily:

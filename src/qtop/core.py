@@ -10,9 +10,8 @@ only at the API edge.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from itertools import combinations
-from typing import Iterable, Iterator
 
 MAX_GROUND_SIZE = 16
 
@@ -29,17 +28,54 @@ class SizeLimitError(ValueError):
     """A size cap (ground width or enumeration limit) was exceeded."""
 
 
-@dataclass(frozen=True)
-class GroundSet:
+_set = object.__setattr__
+
+
+class Frozen:
+    """Immutable slotted value.  ``==`` (same class only), ``hash``,
+    ``repr`` and pickling read ``_fields``, the constructor's arguments
+    in order; ``__init__`` fills the slots with ``_set``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # The fields in one C call: the value of one, a tuple of several.
+        cls._key = staticmethod(operator.attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through ``__init__``: the default protocol would set
+        # the slots through the raising ``__setattr__``.
+        return self.__class__, tuple([getattr(self, f) for f in self._fields])
+
+
+class GroundSet(Frozen):
     """Ordered finite set of irreducible assertions; order fixes bit indices."""
 
-    labels: tuple[str, ...]
-    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("labels", "_bits")
+    _fields = ("labels",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_bits", {l: 1 << i for i, l in enumerate(self.labels)}
-        )
+    def __init__(self, labels: tuple[str, ...]) -> None:
+        _set(self, "labels", labels)
+        _set(self, "_bits", {l: 1 << i for i, l in enumerate(labels)})
 
     @property
     def size(self) -> int:
@@ -116,16 +152,16 @@ def _outside_width(mask: int, ground: GroundSet) -> ValueError:
     return ValueError(f"mask {mask:#x} has bits outside ground width {ground.size}")
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Frozen):
     """One subset of a ground set, encoded as a bitmask of its width."""
 
-    mask: int
-    ground: GroundSet
+    __slots__ = _fields = ("mask", "ground")
 
-    def __post_init__(self) -> None:
-        if self.mask & ~self.ground.full_mask:
-            raise _outside_width(self.mask, self.ground)
+    def __init__(self, mask: int, ground: GroundSet) -> None:
+        if mask & ~ground.full_mask:
+            raise _outside_width(mask, ground)
+        _set(self, "mask", mask)
+        _set(self, "ground", ground)
 
     def labels(self) -> tuple[str, ...]:
         return self.ground.labels_of(self.mask)
@@ -167,8 +203,7 @@ def complement(s: Subset) -> Subset:
     return s.complement()
 
 
-@dataclass(frozen=True)
-class SubsetFamily:
+class SubsetFamily(Frozen):
     """Duplicate-free collection of subsets, stored as the strictly
     ascending tuple of their masks; ``Subset`` objects are made only when
     the family is iterated, at the API edge.
@@ -177,15 +212,15 @@ class SubsetFamily:
     ``of`` to canonicalize an arbitrary iterable.
     """
 
-    masks: tuple[int, ...]
-    ground: GroundSet
+    __slots__ = _fields = ("masks", "ground")
 
-    def __post_init__(self) -> None:
-        masks = self.masks
+    def __init__(self, masks: tuple[int, ...], ground: GroundSet) -> None:
         if not all(map(operator.lt, masks, masks[1:])):
             raise ValueError("family members must be strictly ascending by mask")
-        if masks and (masks[0] < 0 or masks[-1] > self.ground.full_mask):
-            raise _outside_width(masks[0] if masks[0] < 0 else masks[-1], self.ground)
+        if masks and (masks[0] < 0 or masks[-1] > ground.full_mask):
+            raise _outside_width(masks[0] if masks[0] < 0 else masks[-1], ground)
+        _set(self, "masks", masks)
+        _set(self, "ground", ground)
 
     @classmethod
     def of(cls, subsets: Iterable[Subset], ground: GroundSet) -> "SubsetFamily":
@@ -201,17 +236,23 @@ class SubsetFamily:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __contains__(self, s: Subset) -> bool:
-        return s.ground == self.ground and s.mask in self.masks
+    def __contains__(self, s: object) -> bool:
+        return (
+            isinstance(s, Subset) and s.ground == self.ground and s.mask in self.masks
+        )
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Frozen):
     """First failed topology axiom, with the sets that witness the failure."""
 
-    axiom: str  # "C1", "C2" or "C3"
-    message: str
-    witnesses: tuple[Subset, ...] = ()
+    __slots__ = _fields = ("axiom", "message", "witnesses")
+
+    def __init__(
+        self, axiom: str, message: str, witnesses: tuple[Subset, ...] = ()
+    ) -> None:
+        _set(self, "axiom", axiom)  # "C1", "C2" or "C3"
+        _set(self, "message", message)
+        _set(self, "witnesses", witnesses)
 
 
 class TopologyError(ValueError):
@@ -249,8 +290,7 @@ def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
     raise AssertionError("C1 and pairwise closure hold, yet the family is no topology")
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Frozen):
     """A subset family satisfying C1-C3: a question, its opens the answers.
 
     The direct constructor trusts its input; ``make_topology`` validates.
@@ -258,7 +298,10 @@ class Topology:
     construction and are built trusted.
     """
 
-    family: SubsetFamily
+    __slots__ = _fields = ("family",)
+
+    def __init__(self, family: SubsetFamily) -> None:
+        _set(self, "family", family)
 
     @property
     def ground(self) -> GroundSet:

@@ -4,17 +4,18 @@ efficiency, and parent questions on supersets."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import kernel
 from .calculus import QuestionType, classify_question
 from .core import (
+    Frozen,
     GroundSet,
     SizeLimitError,
     SubsetFamily,
     Topology,
     UnknownLabelError,
+    _set,
     minimal_opens,
 )
 from .negation import _symmetric
@@ -30,18 +31,26 @@ def _check_size(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(Frozen):
     """Summary of the question space on one ground set.
 
     ``census`` maps each label to its tally of type-1 and type-2 outcomes
     across all topologies; the two always sum to ``count``.
     """
 
-    n: int
-    count: int
-    census: dict[str, dict[str, int]]
-    self_dual_count: int
+    __slots__ = _fields = ("n", "count", "census", "self_dual_count")
+
+    def __init__(
+        self,
+        n: int,
+        count: int,
+        census: dict[str, dict[str, int]],
+        self_dual_count: int,
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "count", count)
+        _set(self, "census", census)
+        _set(self, "self_dual_count", self_dual_count)
 
 
 def enumerate_topologies(ground: GroundSet) -> Iterator[Topology]:

@@ -9,19 +9,25 @@ when the preorder of its minimal opens is symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import SubsetFamily, Topology, is_topology, minimal_opens
+from .core import Frozen, SubsetFamily, Topology, _set, is_topology, minimal_opens
 
 
-@dataclass(frozen=True)
-class MachinePair:
+class MachinePair(Frozen):
     """A question, its negation, and the clopen channel between them."""
 
-    question: Topology
-    negation: Topology
-    shared: SubsetFamily
-    self_dual: bool
+    __slots__ = _fields = ("question", "negation", "shared", "self_dual")
+
+    def __init__(
+        self,
+        question: Topology,
+        negation: Topology,
+        shared: SubsetFamily,
+        self_dual: bool,
+    ) -> None:
+        _set(self, "question", question)
+        _set(self, "negation", negation)
+        _set(self, "shared", shared)
+        _set(self, "self_dual", self_dual)
 
 
 def negation_question(t: Topology) -> Topology:

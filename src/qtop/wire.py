@@ -9,7 +9,6 @@ order, output is compact JSON with stable key order.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .core import (
     GroundSet,
@@ -60,7 +59,7 @@ def parse_question(text: str) -> tuple[GroundSet, SubsetFamily]:
     return ground, SubsetFamily.from_masks(masks, ground)
 
 
-def dumps(obj: Any) -> str:
+def dumps(obj: object) -> str:
     """Compact JSON, the separators every qtop document uses."""
     return json.dumps(obj, separators=(",", ":"))
 
@@ -84,7 +83,7 @@ def family_document(family: SubsetFamily) -> str:
 
 
 def outcome_document(outcome: ResolutionOutcome) -> str:
-    obj: dict[str, Any] = {"kind": outcome.kind.value}
+    obj: dict[str, object] = {"kind": outcome.kind.value}
     if outcome.kind is QuestionType.TYPE_I:
         assert outcome.carrier is not None
         obj["carrier"] = subset_labels(outcome.carrier)
@@ -95,7 +94,7 @@ def outcome_document(outcome: ResolutionOutcome) -> str:
 def steps_document(steps: list[ResolutionStep]) -> str:
     out = []
     for step in steps:
-        obj: dict[str, Any] = {"point": step.point, "kind": step.kind.value}
+        obj: dict[str, object] = {"point": step.point, "kind": step.kind.value}
         if step.kind is QuestionType.TYPE_I:
             assert step.carrier is not None
             obj["carrier"] = subset_labels(step.carrier)

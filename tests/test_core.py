@@ -148,6 +148,11 @@ class TestSubsetFamily:
         assert g.subset(["s"]) not in fam
         assert other.subset(["a"]) not in fam
 
+    def test_non_subsets_are_not_members(self):
+        fam = SubsetFamily.from_masks([0, 1], make_ground_set(["a", "b"]))
+        for foreign in ("a", 3, 0, None, ["a"], {}, (0,)):
+            assert foreign not in fam
+
     @pytest.mark.parametrize("masks", [(-1, 0), (0, 4)])
     def test_mask_outside_width_rejected(self, masks):
         g = make_ground_set(["m", "s"])

@@ -162,7 +162,7 @@ class TestEnumerationReport:
         for module in (qtop.calculus, qtop.enumeration):
             monkeypatch.setattr(module, "classify_question", refuse)
         monkeypatch.setattr(qtop.negation, "negation_question", refuse)
-        monkeypatch.setattr(qtop.core.SubsetFamily, "__post_init__", refuse)
+        monkeypatch.setattr(qtop.core.SubsetFamily, "__init__", refuse)
         report = enumeration_report(ground_of(4))
         assert report.count == KNOWN_COUNTS[4]
 
