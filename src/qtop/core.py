@@ -287,6 +287,7 @@ def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
                 return False, AxiomViolation(
                     axiom, f"{name} of {wa!r} and {wb!r} is not in the family", (wa, wb)
                 )
+    # Unreachable: C1 plus pairwise C2/C3 is a topology, caught by the closure test.
     raise AssertionError("C1 and pairwise closure hold, yet the family is no topology")
 
 

@@ -16,9 +16,7 @@ from .core import (
     Topology,
     UnknownLabelError,
     _set,
-    minimal_opens,
 )
-from .negation import _symmetric
 
 ENUMERATION_LIMIT = kernel.MAX_N
 
@@ -35,7 +33,10 @@ class EnumerationReport(Frozen):
     """Summary of the question space on one ground set.
 
     ``census`` maps each label to its tally of type-1 and type-2 outcomes
-    across all topologies; the two always sum to ``count``.
+    across all topologies; the two always sum to ``count``.  Every label
+    has the same tally: relabeling the points permutes the topologies
+    and keeps each point's type.  ``self_dual_count`` is the Bell number
+    B(n): the preorder of a self-dual topology is an equivalence relation.
     """
 
     __slots__ = _fields = ("n", "count", "census", "self_dual_count")
@@ -68,45 +69,62 @@ def count_topologies(n: int) -> int:
 
 
 def enumeration_report(ground: GroundSet) -> EnumerationReport:
-    """Tally every topology on ``ground`` from its n minimal opens ``U_x``
-    alone, with no per-topology objects.
+    """Census of every topology on ``ground`` from two kernel searches and
+    a Bell number, with no per-topology work.
 
-    A point x is type-2 iff it lies in every ``U_y``, for then every
-    non-empty open, a union of minimal opens, contains x; every other
-    point is type-1.  A topology is self-dual (equal to its negation)
-    iff every point y of each ``U_x`` has ``U_y == U_x``.
+    - Every point has the same tally.  A permutation of the points maps
+      the topologies on ``ground`` one-to-one onto themselves and carries
+      the type of x to the type of its image, so one point's tally serves
+      them all.
+    - x is type-2 iff every non-empty open contains x, so the type-2
+      tally is the length of the search that forbids every other
+      non-empty mask (the one ``find_definite_questions`` runs); every
+      other topology leaves x type-1.
+    - A topology equals its negation iff its preorder ``y in U_x`` is
+      symmetric (``machines_agree``).  A symmetric preorder is an
+      equivalence relation, and every equivalence relation is the
+      preorder of the topology its classes generate, so the self-dual
+      topologies are counted by the set partitions: B(n).
     """
     n = ground.size
-    _check_size(n)
-    all_masks = kernel.topology_masks(n)
-    self_dual = 0
-    # Topologies per meet of their minimal opens, spread over the points
-    # once at the end.
-    meets: dict[int, int] = {}
-    for masks in all_masks:
-        us = minimal_opens(masks, n)
-        self_dual += _symmetric(us)
-        meet = ground.full_mask
-        for u in us:
-            meet &= u
-        meets[meet] = meets.get(meet, 0) + 1
-    count = len(all_masks)
-    census = {}
-    for i, label in enumerate(ground.labels):
-        definite = sum(k for meet, k in meets.items() if (meet >> i) & 1)
-        census[label] = {
+    count = count_topologies(n)
+    # Point 0 stands for every point; on the empty ground it goes unused.
+    definite = len(kernel.topology_masks(n, forbidden=_lacking(ground, 1)))
+    census = {
+        label: {
             QuestionType.TYPE_I.value: count - definite,
             QuestionType.TYPE_II.value: definite,
         }
-    return EnumerationReport(n, count, census, self_dual)
+        for label in ground.labels
+    }
+    return EnumerationReport(n, count, census, _bell(n))
+
+
+def _bell(n: int) -> int:
+    """B(n) by the Bell triangle: each row opens with the last entry of
+    the row above, and each further entry adds the entry above its left
+    neighbour to that neighbour."""
+    row = [1]
+    for _ in range(n):
+        below = [row[-1]]
+        for v in row:
+            below.append(below[-1] + v)
+        row = below
+    return row[0]
+
+
+def _lacking(ground: GroundSet, bit: int) -> int:
+    """The kernel's ``forbidden`` bitset of every non-empty mask on
+    ``ground`` without ``bit``: what is left are the topologies whose
+    every non-empty open holds that point."""
+    return sum(1 << m for m in range(1, ground.full_mask + 1) if not m & bit)
 
 
 def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
     """Topologies whose every non-empty open contains ``x``: asking them
     resolves the whole space in one step."""
     _check_size(ground.size)
-    bit = 1 << ground.index(x)
-    forbidden = sum(1 << m for m in range(1, ground.full_mask + 1) if not m & bit)
+    forbidden = _lacking(ground, 1 << ground.index(x))
     for masks in kernel.topology_masks(ground.size, forbidden=forbidden):
         yield Topology(SubsetFamily(masks, ground))
 

@@ -53,12 +53,7 @@ def machines_agree(t: Topology) -> bool:
     of a minimal open ``U_x`` has ``U_y == U_x``, so the minimal opens
     partition the points and each is clopen.  O(k*n), no negation built.
     """
-    return _symmetric(minimal_opens(t.masks, t.ground.size))
-
-
-def _symmetric(us: list[int]) -> bool:
-    """True iff every point y of each minimal open ``U_x`` in ``us`` (in
-    bit order) has ``U_y == U_x``: the one test of self-duality."""
+    us = minimal_opens(t.masks, t.ground.size)
     for u in us:
         rest = u
         while rest:

@@ -165,6 +165,11 @@ class TestSubspaceTopology:
         assert sub.ground.size == 0
         assert sub.masks == (0,)
 
+    def test_carrier_over_another_ground_rejected(self, t_x, ms_ground):
+        with pytest.raises(ValueError) as e:
+            subspace_topology(t_x, ms_ground.subset(["m"]))
+        assert str(e.value) == "carrier lies over a different ground set"
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_every_subspace_is_a_topology(self, n):
         g = ground_of(n)

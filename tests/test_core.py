@@ -119,6 +119,14 @@ class TestSubset:
         assert (a - b).labels() == ("m",)
         assert g.subset(["s"]) <= a
 
+    @pytest.mark.parametrize("op", ["__or__", "__and__", "__sub__", "__le__"])
+    def test_operands_over_different_grounds_rejected(self, op):
+        a = make_ground_set(["m", "s"]).subset(["m"])
+        b = make_ground_set(["m", "e"]).subset(["m"])
+        with pytest.raises(ValueError) as e:
+            getattr(a, op)(b)
+        assert str(e.value) == "subsets lie over different ground sets"
+
 
 class TestSubsetFamily:
     def test_canonicalization_sorts_and_dedups(self):

@@ -11,6 +11,7 @@ from qtop import (
     enumeration_report,
     find_definite_questions,
     is_topology,
+    machines_agree,
     make_ground_set,
     parent_questions,
 )
@@ -19,6 +20,8 @@ from qtop import kernel
 from conftest import all_topologies, ground_of, oracle_families, topology_from_masks
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
+# Bell numbers, OEIS A000110: the set partitions of n points.
+BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
 
 
 class TestEnumerate:
@@ -78,6 +81,12 @@ class TestConstrainedKernel:
             expected = [f for f in full if not any((forbidden >> m) & 1 for m in f)]
             assert kernel.topology_masks(n, forbidden=forbidden) == expected
 
+    @pytest.mark.parametrize("n", [-1, 6])
+    def test_size_outside_the_kernel_range(self, n):
+        with pytest.raises(ValueError) as e:
+            kernel.topology_masks(n)
+        assert str(e.value) == f"enumeration supports 0 <= n <= 5, got {n}"
+
     @pytest.mark.parametrize("n", [4, 5])
     def test_requiring_an_embedded_topology(self, n):
         """Every topology on at most 3 points, placed on n points by every
@@ -108,6 +117,14 @@ class TestEnumerationReport:
 
     def test_self_dual_count_two_points(self):
         assert enumeration_report(ground_of(2)).self_dual_count == 2
+
+    @pytest.mark.parametrize("n", BELL)
+    def test_self_dual_count_is_the_bell_number(self, n):
+        """The topologies ``machines_agree`` holds for, counted one by one,
+        are as many as the set partitions, and the census says so too."""
+        g = ground_of(n)
+        assert sum(machines_agree(t) for t in enumerate_topologies(g)) == BELL[n]
+        assert enumeration_report(g).self_dual_count == BELL[n]
 
     @pytest.mark.parametrize("labels", ["", "a", "b,a", "c,a,b", "d,b,a,c"])
     def test_matches_oracle_tallies(self, labels):
@@ -165,6 +182,21 @@ class TestEnumerationReport:
         monkeypatch.setattr(qtop.core.SubsetFamily, "__init__", refuse)
         report = enumeration_report(ground_of(4))
         assert report.count == KNOWN_COUNTS[4]
+
+    def test_runs_two_kernel_searches(self, monkeypatch):
+        """One full search for the count and one constrained search for
+        the type-2 tally of one point: 355 + 45 masks on 4 points."""
+        search = kernel.topology_masks
+        drawn = []
+
+        def record(*args, **kwargs):
+            out = search(*args, **kwargs)
+            drawn.append(len(out))
+            return out
+
+        monkeypatch.setattr(kernel, "topology_masks", record)
+        enumeration_report(ground_of(4))
+        assert sorted(drawn) == [45, KNOWN_COUNTS[4]]
 
 
 class TestFindDefiniteQuestions:

@@ -64,6 +64,27 @@ class TestParseQuestion:
             parse_question(text)
         assert str(e.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "document must be an object"),
+            ('"elements"', "document must be an object"),
+            ('{"elements":"ms","opens":[]}', "field 'elements' must be a list"),
+            ('{"elements":[],"opens":{}}', "field 'opens' must be a list"),
+            ('{"elements":["m"],"opens":[[],"m"]}', "opens[1]: must be a list of labels"),
+        ],
+    )
+    def test_shape_error_message(self, text, message, tmp_path, capsys):
+        """The message names what is malformed, and ``main`` reports it
+        as a parse error: exit 2, one line on stderr."""
+        with pytest.raises(DocumentError) as e:
+            parse_question(text)
+        assert str(e.value) == message
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(DocumentError, match="line 1"):
             parse_question("{nope")
@@ -256,6 +277,7 @@ class TestCliExitCodes:
             ["enumerate", "--n", "-1", "--census"],
             ["definite", "--n", "-1", "--point", "x0"],
             ["parents", "{doc}", "--superset", "m,s,e", "--limit", "-1"],
+            ["enumerate", "--n", "abc"],
         ],
     )
     def test_negative_count_is_a_usage_error(self, argv, t_x_file, capsys):
@@ -264,7 +286,8 @@ class TestCliExitCodes:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be a non-negative integer, got '-1'" in captured.err
+        raw = argv[argv.index("--limit" if "--limit" in argv else "--n") + 1]
+        assert f"must be a non-negative integer, got {raw!r}" in captured.err
 
     def test_non_utf8_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -288,6 +311,10 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_labels_naming_too_few_points_exit_one(self, capsys):
+        assert main(["enumerate", "--n", "3", "--labels", "a,b"]) == 1
+        assert capsys.readouterr() == ("", "error: --labels names 2 elements, --n is 3\n")
 
     def test_library_bug_escapes_main(self, t_x_file, monkeypatch):
         def broken(args):
