@@ -70,12 +70,16 @@ class Frozen:
 class GroundSet(Frozen):
     """Ordered finite set of irreducible assertions; order fixes bit indices."""
 
-    __slots__ = ("labels", "_bits")
+    __slots__ = ("labels", "_bits", "_low", "_high")
     _fields = ("labels",)
 
     def __init__(self, labels: tuple[str, ...]) -> None:
         _set(self, "labels", labels)
         _set(self, "_bits", {l: 1 << i for i, l in enumerate(labels)})
+        # The labels of each byte value: the low byte's from labels[:8],
+        # the high byte's from labels[8:] (just [()] on 8 points or fewer).
+        _set(self, "_low", _byte_table(labels[:8]))
+        _set(self, "_high", _byte_table(labels[8:]))
 
     @property
     def size(self) -> int:
@@ -106,16 +110,11 @@ class GroundSet(Frozen):
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        """The labels of ``mask``'s set bits, in bit order."""
-        labels = self.labels
-        if mask >> len(labels):  # a negative mask shifts to -1
+        """The labels of ``mask``'s set bits, in bit order: the low
+        byte's labels then the high byte's, two table lookups."""
+        if mask >> len(self.labels):  # a negative mask shifts to -1
             raise _outside_width(mask, self)
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(labels[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
+        return self._low[mask & 255] + self._high[mask >> 8]
 
     def _unknown(self, label: object) -> UnknownLabelError:
         return UnknownLabelError(
@@ -130,6 +129,15 @@ class GroundSet(Frozen):
 
     def full(self) -> "Subset":
         return Subset(self.full_mask, self)
+
+
+def _byte_table(labels: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """For at most 8 labels: entry m holds the labels of m's set bits, in
+    bit order.  Each label doubles the table."""
+    table: list[tuple[str, ...]] = [()]
+    for label in labels:
+        table += [t + (label,) for t in table]
+    return table
 
 
 def make_ground_set(labels: Iterable[str]) -> GroundSet:
@@ -264,10 +272,17 @@ class TopologyError(ValueError):
 def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
     """Check axioms C1-C3; on failure report the first violation found.
 
-    A family holding the empty and full sets is a topology iff it equals
-    the topology it generates, an O(k*n) test that stops as soon as the
-    generated opens outnumber the family's k.  Only a family that fails
-    it is scanned pairwise, to name the first pair (in
+    Past C1, let ``V_x`` be the first member, in ascending order, that
+    holds the point x.  The family is a topology iff the ``V_x`` are
+    transitive (y in ``V_x`` implies ``V_y`` within ``V_x``) and their
+    unions are exactly the family.  In a topology ``V_x`` is the minimal
+    open ``U_x``, which lies inside every open holding x and so is the
+    numerically smallest.  Conversely, the unions of transitive ``V_x``
+    are closed under intersection as well as union: every point z of
+    A & B has ``V_z`` within A & B.  Finding the ``V_x`` is one scan that
+    stops once every point is seen, and the union closure stops as soon
+    as it outnumbers the family's k members.  Only a family that fails
+    is scanned pairwise, to name the first pair (in
     ``itertools.combinations`` order, union before intersection) whose
     union (C2) or intersection (C3) is missing.
     """
@@ -278,7 +293,22 @@ def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
         return False, AxiomViolation("C1", "the empty set is missing")
     if ground.full_mask not in present:
         return False, AxiomViolation("C1", "the full ground set is missing")
-    if _union_closure(family, len(masks)) == present:
+    least = [0] * ground.size
+    unseen = ground.full_mask
+    for m in masks:
+        new = m & unseen
+        if new:
+            unseen ^= new
+            while new:  # n steps over the whole scan: each point once
+                low = new & -new
+                least[low.bit_length() - 1] = m
+                new ^= low
+            if not unseen:
+                break
+    transitive = all(
+        not vy & ~vx for vx in least for i, vy in enumerate(least) if vx >> i & 1
+    )
+    if transitive and _union_closure(least, len(masks)) == present:
         return True, None
     for a, b in combinations(masks, 2):
         for axiom, name, m in (("C2", "union", a | b), ("C3", "intersection", a & b)):
@@ -360,16 +390,20 @@ def generated_topology(family: SubsetFamily) -> Topology:
     """
     # No family on n points generates more than 2^n opens, so this cap
     # never stops the closure early.
-    opens = _union_closure(family, family.ground.full_mask + 1)
-    return Topology(SubsetFamily.from_masks(opens, family.ground))
+    ground = family.ground
+    opens = _union_closure(minimal_opens(family.masks, ground.size), ground.full_mask + 1)
+    return Topology(SubsetFamily.from_masks(opens, ground))
 
 
-def _union_closure(family: SubsetFamily, cap: int) -> set[int]:
-    """The unions of the minimal opens of ``family``, added point by
-    point.  Stops as soon as they number more than ``cap``: the set only
-    grows, so the generated topology then has more than ``cap`` opens."""
+def _union_closure(generators: Iterable[int], cap: int) -> set[int]:
+    """Every union of ``generators``, the empty one included, added
+    generator by generator.  Stops as soon as they number more than
+    ``cap``: the set only grows, so the closure then has more than
+    ``cap`` members.  Given the minimal opens ``U_x`` of a family, it is
+    the topology the family generates; given the least members ``V_x``,
+    it is what ``is_topology`` compares with the family."""
     opens = {0}
-    for u in minimal_opens(family.masks, family.ground.size):
+    for u in generators:
         opens |= {o | u for o in opens}
         if len(opens) > cap:
             break

@@ -23,6 +23,9 @@ from conftest import all_topologies, ground_of, oracle_families, topology_from_m
 from oracle import first_violation
 
 
+LETTERS = "abcdefghijklmnop"
+
+
 def every_family(n: int):
     """Every family of subsets of ``ground_of(n)``, as ascending masks."""
     full = (1 << n) - 1
@@ -48,6 +51,35 @@ def families_on_4_to_8_points(draw):
         masks = set(opens) - {draw(st.sampled_from(opens))}
     else:
         masks |= {0, g.full_mask}  # past C1, on to the pairs
+    return SubsetFamily.from_masks(masks, g)
+
+
+@st.composite
+def large_families_on_6_to_16_points(draw):
+    """A topology on 6-16 points with up to 512 opens: as it is, short of
+    one open other than the empty and full sets, or with one non-open
+    added.  Each point is drawn the generating masks, of 6, it lies in;
+    the last generator is dropped while they generate more than 512
+    opens, which keeps the pairwise oracle fast."""
+    g = make_ground_set(LETTERS[: draw(st.integers(6, 16))])
+    member_of = draw(st.lists(st.integers(0, 63), min_size=g.size, max_size=g.size))
+    generators = [
+        sum(1 << x for x, s in enumerate(member_of) if s >> j & 1) for j in range(6)
+    ]
+    while True:
+        opens = generated_topology(SubsetFamily.from_masks(generators, g)).masks
+        if len(opens) <= 512:
+            break
+        generators.pop()
+    masks = set(opens)
+    change = draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop" and len(opens) > 2:
+        masks.remove(draw(st.sampled_from(opens[1:-1])))
+    elif change == "add" and len(opens) <= g.full_mask:
+        m = draw(st.integers(0, g.full_mask))
+        while m in masks:
+            m = (m + 1) & g.full_mask
+        masks.add(m)
     return SubsetFamily.from_masks(masks, g)
 
 
@@ -78,12 +110,35 @@ class TestGroundSet:
     def test_sixteen_elements_allowed(self):
         assert make_ground_set([f"x{i}" for i in range(16)]).size == 16
 
-    @pytest.mark.parametrize("mask, text", [(-1, "-0x1"), (0b100, "0x4"), (0b111, "0x7")])
-    def test_labels_of_rejects_masks_outside_the_width(self, mask, text):
-        g = make_ground_set(["a", "b"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16])
+    def test_labels_of_matches_a_bit_walk(self, n):
+        """Every mask up to 9 points; on 16, a stride through both bytes."""
+        g = make_ground_set(LETTERS[:n][::-1])
+        masks = range(0, 1 << n, 1 if n < 16 else 37)
+        for m in (*masks, g.full_mask):
+            assert g.labels_of(m) == tuple(l for i, l in enumerate(g.labels) if m >> i & 1)
+
+    @pytest.mark.parametrize(
+        "n, mask, text",
+        [
+            pytest.param(2, -1, "-0x1", id="-1--0x1"),
+            pytest.param(2, 0b100, "0x4", id="4-0x4"),
+            pytest.param(2, 0b111, "0x7", id="7-0x7"),
+            # On 8 points the high table is [()]: these must not reach it.
+            (8, 1 << 8, "0x100"),
+            (8, 0x1FF, "0x1ff"),
+            (8, -1, "-0x1"),
+            (9, 1 << 9, "0x200"),
+            (9, -1, "-0x1"),
+            (16, 1 << 16, "0x10000"),
+            (16, -1, "-0x1"),
+        ],
+    )
+    def test_labels_of_rejects_masks_outside_the_width(self, n, mask, text):
+        g = make_ground_set(LETTERS[:n])
         with pytest.raises(ValueError) as exc:
             g.labels_of(mask)
-        assert str(exc.value) == f"mask {text} has bits outside ground width 2"
+        assert str(exc.value) == f"mask {text} has bits outside ground width {n}"
 
 
 class TestSubset:
@@ -204,15 +259,32 @@ class TestIsTopology:
             ok, _ = is_topology(SubsetFamily.from_masks(masks, g))
             assert ok == axioms_hold(masks, g.full_mask)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_intransitive_least_opens_are_c3(self, mse_ground):
+        """{m,s}, {s,e}: their unions are the family, but s lies in the
+        least open {s,e} of e, and the least open {m,s} of s is not
+        inside it, so the meet {s} is missing."""
+        fam = SubsetFamily.from_masks([0, 0b011, 0b110, 0b111], mse_ground)
+        ok, violation = is_topology(fam)
+        assert not ok
+        assert violation.axiom == "C3"
+        assert [w.mask for w in violation.witnesses] == [0b011, 0b110]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_report_matches_pairwise_scan_exhaustively(self, n):
+        """Every family on up to 3 points; on 4, the 2^14 past C1."""
         g = ground_of(n)
         for masks in every_family(n):
+            if n == 4 and masks[:1] + masks[-1:] != [0, g.full_mask]:
+                continue
             fam = SubsetFamily.from_masks(masks, g)
             assert reported(fam) == first_violation(masks, g.full_mask)
 
     @given(families_on_4_to_8_points())
     def test_report_matches_pairwise_scan_on_larger_grounds(self, fam):
+        assert reported(fam) == first_violation(list(fam.masks), fam.ground.full_mask)
+
+    @given(large_families_on_6_to_16_points())
+    def test_report_matches_pairwise_scan_on_large_families(self, fam):
         assert reported(fam) == first_violation(list(fam.masks), fam.ground.full_mask)
 
 

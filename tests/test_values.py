@@ -200,6 +200,30 @@ def test_ground_set_codec_is_out_of_equality_hash_and_repr():
     assert hash(g) == hash(GroundSet(("a", "b")))
 
 
+def test_ground_set_byte_tables_are_out_of_equality_hash_and_repr():
+    g, blanked = ab(), ab()
+    assert g._low == [(), ("a",), ("b",), ("a", "b")]
+    assert g._high == [()]
+    object.__setattr__(blanked, "_low", [])
+    object.__setattr__(blanked, "_high", [])
+    assert blanked == g
+    assert hash(blanked) == hash(g)
+    assert repr(blanked) == repr(g) == AB
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_ground_set_byte_tables_survive_round_trips(round_trip):
+    """Ten labels, so a mask reads both the low and the high table."""
+    g = round_trip(make_ground_set("abcdefghij"))
+    assert g.labels_of(0b1100000011) == ("a", "b", "i", "j")
+    assert len(g._low) == 256
+    assert g._high == [(), ("i",), ("j",), ("i", "j")]
+
+
 def test_keyword_construction(value):
     build, _, fields = value
     obj = build()

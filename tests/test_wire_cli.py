@@ -1,5 +1,7 @@
 import hashlib
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -111,6 +113,23 @@ class TestCliCommands:
         assert main(["validate", t_x_file]) == 0
         assert capsys.readouterr().out == '{"valid":true}\n'
 
+    def test_validate_names_both_witnesses_of_a_meet_in_the_high_byte(
+        self, tmp_path, capsys
+    ):
+        """The two middle opens share only bit 8: their unions are the
+        family, their least opens are not transitive."""
+        labels = list("nckamhblejdgpfio")
+        path = write_doc(tmp_path, labels, [[], labels[:9], labels[8:], labels])
+        assert main(["validate", path]) == 1
+        low, high = ",".join(labels[:9]), ",".join(labels[8:])
+        assert json.loads(capsys.readouterr().out) == {
+            "valid": False,
+            "axiom": "C3",
+            "message": f"intersection of Subset({{{low}}}) and Subset({{{high}}}) "
+            "is not in the family",
+            "witness": [labels[:9], labels[8:]],
+        }
+
     def test_validate_failure_exits_one(self, tmp_path, capsys):
         path = write_doc(tmp_path, ["m", "s"], [[], ["m"]])
         assert main(["validate", path]) == 1
@@ -215,6 +234,14 @@ class TestCliCommands:
 
 
 class TestCliExitCodes:
+    @pytest.mark.filterwarnings("ignore:'qtop.cli' found in sys.modules")
+    def test_module_run_as_a_script_exits_with_mains_status(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["qtop", "enumerate", "--n", "2", "--count-only"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("qtop.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == '{"n":2,"count":4}\n'
+
     def test_parse_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
