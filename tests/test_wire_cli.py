@@ -113,23 +113,6 @@ class TestCliCommands:
         assert main(["validate", t_x_file]) == 0
         assert capsys.readouterr().out == '{"valid":true}\n'
 
-    def test_validate_names_both_witnesses_of_a_meet_in_the_high_byte(
-        self, tmp_path, capsys
-    ):
-        """The two middle opens share only bit 8: their unions are the
-        family, their least opens are not transitive."""
-        labels = list("nckamhblejdgpfio")
-        path = write_doc(tmp_path, labels, [[], labels[:9], labels[8:], labels])
-        assert main(["validate", path]) == 1
-        low, high = ",".join(labels[:9]), ",".join(labels[8:])
-        assert json.loads(capsys.readouterr().out) == {
-            "valid": False,
-            "axiom": "C3",
-            "message": f"intersection of Subset({{{low}}}) and Subset({{{high}}}) "
-            "is not in the family",
-            "witness": [labels[:9], labels[8:]],
-        }
-
     def test_validate_failure_exits_one(self, tmp_path, capsys):
         path = write_doc(tmp_path, ["m", "s"], [[], ["m"]])
         assert main(["validate", path]) == 1

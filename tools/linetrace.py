@@ -1,5 +1,5 @@
 """Run tier-1 under a sys.settrace line tracer; fail on any line of
-src/qtop that no test reached.  Usage: python tools/linetrace.py [pytest args]"""
+src/qtop that no test reached.  Usage: python tools/linetrace.py"""
 
 import sys
 from pathlib import Path
@@ -55,7 +55,7 @@ class NoDeadline:
 
 sys.path.insert(0, str(SRC))
 sys.settrace(trace)
-status = pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]], plugins=[NoDeadline])
+status = pytest.main(["-q", "-p", "no:cacheprovider"], plugins=[NoDeadline])
 sys.settrace(None)
 executable = set().union(*(all_lines(compile("\n".join(t), f, "exec")) for f, t in SOURCES.items()))
 report = [
