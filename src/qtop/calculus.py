@@ -20,7 +20,6 @@ from .core import (
     Topology,
     _set,
     make_ground_set,
-    minimal_opens,
 )
 
 
@@ -78,8 +77,9 @@ def open_sets_containing(t: Topology, x: str) -> SubsetFamily:
 def neighborhood_system(t: Topology, x: str) -> SubsetFamily:
     """All supersets of some open set containing ``x`` (not necessarily open)."""
     # Every neighborhood of x is a superset of U_x, the smallest open
-    # containing x.
-    base = minimal_opens(t.masks, t.ground.size)[t.ground.index(x)]
+    # containing x; it lies inside every other such open, so it is also
+    # the numerically smallest.
+    base = open_sets_containing(t, x).masks[0]
     rest = t.ground.full_mask & ~base
     found = []
     # iterate all supersets of base: base | (submask of rest)
@@ -108,15 +108,16 @@ def classify_question(t: Topology, x: str) -> ResolutionOutcome:
     """Classify the elimination of ``x``: sub-question, definite answer,
     or irrelevant."""
     result = resolve_issue(t, x)
-    if x not in t.ground:
+    # Every topology holds the empty set (C1), so only a point outside
+    # the ground leaves nothing.
+    if not result.masks:
         return ResolutionOutcome(QuestionType.TYPE_III, result)
-    if result.masks == (0,):
+    # The union of the opens that avoid x is open (C2), so it is the
+    # largest of them.
+    carrier = result.masks[-1]
+    if not carrier:
         return ResolutionOutcome(QuestionType.TYPE_II, result)
-    carrier_mask = 0
-    for m in result.masks:
-        carrier_mask |= m
-    carrier = Subset(carrier_mask, t.ground)
-    return ResolutionOutcome(QuestionType.TYPE_I, result, carrier)
+    return ResolutionOutcome(QuestionType.TYPE_I, result, Subset(carrier, t.ground))
 
 
 def subspace_topology(t: Topology, a: Subset) -> Topology:

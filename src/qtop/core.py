@@ -369,7 +369,8 @@ def minimal_opens(masks: tuple[int, ...], n: int) -> list[int]:
     """``U_x`` for every point x of an n-point ground, in bit order: the
     meet of the masks that contain x, or the full set if none does.  In
     a topology it is the smallest open containing x, and the n of them
-    fix the topology (Alexandroff, 1937).  O(k*n) for k masks."""
+    fix the topology (Alexandroff, 1937).  O(k*n) for k masks; only
+    ``generated_topology`` needs it, since its family is arbitrary."""
     full = (1 << n) - 1
     out = []
     for i in range(n):

@@ -54,13 +54,21 @@ class EnumerationReport(Frozen):
         _set(self, "self_dual_count", self_dual_count)
 
 
+def _topologies(
+    ground: GroundSet, required: int = 0, forbidden: int = 0
+) -> Iterator[Topology]:
+    """The kernel's search on ``ground``, each mask tuple wrapped as a
+    trusted topology."""
+    # Kernel tuples are strictly ascending and in range: no re-sort.
+    for masks in kernel.topology_masks(ground.size, required, forbidden):
+        yield Topology(SubsetFamily(masks, ground))
+
+
 def enumerate_topologies(ground: GroundSet) -> Iterator[Topology]:
     """Every topology on ``ground`` exactly once, in ascending canonical
     order of the family encoding."""
     _check_size(ground.size)
-    # Kernel tuples are strictly ascending and in range: no re-sort.
-    for masks in kernel.topology_masks(ground.size):
-        yield Topology(SubsetFamily(masks, ground))
+    yield from _topologies(ground)
 
 
 def count_topologies(n: int) -> int:
@@ -80,11 +88,12 @@ def enumeration_report(ground: GroundSet) -> EnumerationReport:
       tally is the length of the search that forbids every other
       non-empty mask (the one ``find_definite_questions`` runs); every
       other topology leaves x type-1.
-    - A topology equals its negation iff its preorder ``y in U_x`` is
-      symmetric (``machines_agree``).  A symmetric preorder is an
-      equivalence relation, and every equivalence relation is the
-      preorder of the topology its classes generate, so the self-dual
-      topologies are counted by the set partitions: B(n).
+    - A topology equals its negation iff its specialization preorder
+      ``y in U_x`` is symmetric (Alexandroff, 1937: a finite topology is
+      its preorder).  A symmetric preorder is an equivalence relation,
+      and every equivalence relation is the preorder of the topology its
+      classes generate, so the self-dual topologies are counted by the
+      set partitions: B(n).
     """
     n = ground.size
     count = count_topologies(n)
@@ -125,8 +134,7 @@ def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
     resolves the whole space in one step."""
     _check_size(ground.size)
     forbidden = _lacking(ground, 1 << ground.index(x))
-    for masks in kernel.topology_masks(ground.size, forbidden=forbidden):
-        yield Topology(SubsetFamily(masks, ground))
+    yield from _topologies(ground, forbidden=forbidden)
 
 
 def elimination_efficiency(t: Topology, x: str) -> int:
@@ -155,8 +163,4 @@ def parent_questions(
     required = sum(
         1 << superset_ground.mask_of(t.ground.labels_of(m)) for m in t.masks
     )
-    found = (
-        Topology(SubsetFamily(masks, superset_ground))
-        for masks in kernel.topology_masks(superset_ground.size, required=required)
-    )
-    yield from itertools.islice(found, limit)
+    yield from itertools.islice(_topologies(superset_ground, required=required), limit)

@@ -82,22 +82,20 @@ def family_document(family: SubsetFamily) -> str:
     return question_document(family.ground, family)
 
 
+def _outcome(kind: QuestionType, carrier: Subset | None, family: SubsetFamily) -> dict:
+    """``kind``, then ``carrier`` for TYPE_I only, then ``opens``."""
+    obj: dict[str, object] = {"kind": kind.value}
+    if kind is QuestionType.TYPE_I:
+        assert carrier is not None
+        obj["carrier"] = subset_labels(carrier)
+    obj["opens"] = family_opens(family)
+    return obj
+
+
 def outcome_document(outcome: ResolutionOutcome) -> str:
-    obj: dict[str, object] = {"kind": outcome.kind.value}
-    if outcome.kind is QuestionType.TYPE_I:
-        assert outcome.carrier is not None
-        obj["carrier"] = subset_labels(outcome.carrier)
-    obj["opens"] = family_opens(outcome.result_family)
-    return dumps(obj)
+    return dumps(_outcome(outcome.kind, outcome.carrier, outcome.result_family))
 
 
 def steps_document(steps: list[ResolutionStep]) -> str:
-    out = []
-    for step in steps:
-        obj: dict[str, object] = {"point": step.point, "kind": step.kind.value}
-        if step.kind is QuestionType.TYPE_I:
-            assert step.carrier is not None
-            obj["carrier"] = subset_labels(step.carrier)
-        obj["opens"] = family_opens(step.family)
-        out.append(obj)
+    out = [{"point": s.point, **_outcome(s.kind, s.carrier, s.family)} for s in steps]
     return dumps({"steps": out})

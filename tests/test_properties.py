@@ -3,7 +3,9 @@ the label<->bit codec on 0-16 points.
 
 Families have at most four members, so the topology they generate has at
 most 168 opens (the free distributive lattice on four generators, with
-the empty and the full set) however wide the ground.
+the empty and the full set) however wide the ground.  Closing a family
+under complement first gives at most eight members and a self-dual
+topology.
 """
 
 import hashlib
@@ -12,23 +14,29 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtop import (
+    QuestionType,
     SubsetFamily,
     UnknownLabelError,
+    classify_question,
     generated_topology,
     is_topology,
+    machines_agree,
     make_ground_set,
     negation_question,
+    neighborhood_system,
     parse_question,
+    resolve_issue,
 )
+from qtop.core import minimal_opens
 from qtop.wire import family_document
 
 
 @st.composite
-def family_pairs(draw):
-    """A family on 6-16 points and a sub-family of it.  The labels are
-    either ``x0, x1, ...`` or letters in shuffled order, so that bit order
-    and name order disagree."""
-    n = draw(st.integers(6, 16))
+def family_pairs(draw, max_n=16):
+    """A family on 6-``max_n`` points and a sub-family of it.  The labels
+    are either ``x0, x1, ...`` or letters in shuffled order, so that bit
+    order and name order disagree."""
+    n = draw(st.integers(6, max_n))
     labels = [f"x{i}" for i in range(n)]
     if draw(st.booleans()):
         labels = draw(st.permutations("abcdefghijklmnop"[:n]))
@@ -63,6 +71,47 @@ def test_negation_is_an_involution(pair):
     neg = negation_question(t)
     assert is_topology(neg.family) == (True, None)
     assert negation_question(neg) == t
+
+
+@st.composite
+def topology_points(draw, max_n=16):
+    """A generated topology on 6-``max_n`` points, self-dual if its family
+    was first closed under complement, and one of its points."""
+    family = draw(family_pairs(max_n))[1]
+    if draw(st.booleans()):
+        full = family.ground.full_mask
+        family = SubsetFamily.from_masks(
+            {*family.masks, *(full & ~m for m in family.masks)}, family.ground
+        )
+    t = generated_topology(family)
+    return t, draw(st.sampled_from(t.ground.labels))
+
+
+@given(topology_points())
+def test_machines_agree_iff_negation_is_the_question(tx):
+    t = tx[0]
+    assert machines_agree(t) == (negation_question(t).masks == t.masks)
+
+
+@given(topology_points())
+def test_classify_carrier_is_the_union_of_the_opens_avoiding_the_point(tx):
+    t, x = tx
+    outcome = classify_question(t, x)
+    union = 0
+    for m in resolve_issue(t, x).masks:
+        union |= m
+    if outcome.kind is QuestionType.TYPE_II:
+        assert union == 0
+    else:
+        assert outcome.kind is QuestionType.TYPE_I
+        assert outcome.carrier.mask == union != 0
+
+
+@given(topology_points(max_n=10))
+def test_neighborhood_base_is_the_minimal_open(tx):
+    t, x = tx
+    u = minimal_opens(t.masks, t.ground.size)[t.ground.index(x)]
+    assert neighborhood_system(t, x).masks[0] == u
 
 
 @given(family_pairs())
