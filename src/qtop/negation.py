@@ -64,12 +64,12 @@ def is_sigma_field(f: SubsetFamily) -> bool:
 
 
 def make_machine_pair(t: Topology) -> MachinePair:
-    negation = negation_question(t)
+    shared = clopen_sets(t)
     return MachinePair(
         question=t,
-        negation=negation,
-        shared=clopen_sets(t),
-        self_dual=machines_agree(t),
+        negation=negation_question(t),
+        shared=shared,
+        self_dual=len(shared) == len(t),
     )
 
 
