@@ -54,21 +54,13 @@ class EnumerationReport(Frozen):
         _set(self, "self_dual_count", self_dual_count)
 
 
-def _topologies(
-    ground: GroundSet, required: int = 0, forbidden: int = 0
-) -> Iterator[Topology]:
-    """The kernel's search on ``ground``, each mask tuple wrapped as a
-    trusted topology."""
-    # Kernel tuples are strictly ascending and in range: no re-sort.
-    for masks in kernel.topology_masks(ground.size, required, forbidden):
-        yield Topology(SubsetFamily(masks, ground))
-
-
 def enumerate_topologies(ground: GroundSet) -> Iterator[Topology]:
     """Every topology on ``ground`` exactly once, in ascending canonical
     order of the family encoding."""
     _check_size(ground.size)
-    yield from _topologies(ground)
+    # Kernel tuples are strictly ascending and in range: no re-sort.
+    for masks in kernel.topology_masks(ground.size):
+        yield Topology(SubsetFamily(masks, ground))
 
 
 def count_topologies(n: int) -> int:
@@ -134,7 +126,8 @@ def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
     resolves the whole space in one step."""
     _check_size(ground.size)
     forbidden = _lacking(ground, 1 << ground.index(x))
-    yield from _topologies(ground, forbidden=forbidden)
+    for masks in kernel.topology_masks(ground.size, forbidden=forbidden):
+        yield Topology(SubsetFamily(masks, ground))
 
 
 def elimination_efficiency(t: Topology, x: str) -> int:
@@ -163,4 +156,8 @@ def parent_questions(
     required = sum(
         1 << superset_ground.mask_of(t.ground.labels_of(m)) for m in t.masks
     )
-    yield from itertools.islice(_topologies(superset_ground, required=required), limit)
+    found = (
+        Topology(SubsetFamily(masks, superset_ground))
+        for masks in kernel.topology_masks(superset_ground.size, required=required)
+    )
+    yield from itertools.islice(found, limit)
