@@ -14,12 +14,12 @@ import enum
 
 from .core import (
     Frozen,
+    GroundSet,
     GroundSetError,
     Subset,
     SubsetFamily,
     Topology,
     _set,
-    make_ground_set,
 )
 
 
@@ -82,14 +82,14 @@ def neighborhood_system(t: Topology, x: str) -> SubsetFamily:
     base = open_sets_containing(t, x).masks[0]
     rest = t.ground.full_mask & ~base
     found = []
-    # iterate all supersets of base: base | (submask of rest)
+    # iterate all supersets of base, descending: base | (submask of rest)
     sub = rest
     while True:
         found.append(base | sub)
         if sub == 0:
             break
         sub = (sub - 1) & rest
-    return SubsetFamily.from_masks(found, t.ground)
+    return SubsetFamily(tuple(reversed(found)), t.ground)
 
 
 def resolve_issue(t: Topology, x: str) -> SubsetFamily:
@@ -126,7 +126,7 @@ def subspace_topology(t: Topology, a: Subset) -> Topology:
     order are inherited)."""
     if a.ground != t.ground:
         raise ValueError("carrier lies over a different ground set")
-    sub_ground = make_ground_set(a.labels())
+    sub_ground = GroundSet(a.labels())
     repacked = {sub_ground.mask_of(t.ground.labels_of(m & a.mask)) for m in t.masks}
     return Topology(SubsetFamily.from_masks(repacked, sub_ground))
 

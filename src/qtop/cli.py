@@ -36,7 +36,6 @@ from .wire import (
     parse_question,
     question_document,
     steps_document,
-    subset_labels,
 )
 
 
@@ -92,7 +91,7 @@ def cmd_validate(args) -> int:
                 "valid": False,
                 "axiom": violation.axiom,
                 "message": violation.message,
-                "witness": [subset_labels(w) for w in violation.witnesses],
+                "witness": [w.labels() for w in violation.witnesses],
             }
         )
     )
@@ -130,15 +129,10 @@ def cmd_clopen(args) -> int:
 
 
 def cmd_agree(args) -> int:
-    t = _load_topology(args.file)
-    print(
-        dumps(
-            {
-                "machines_agree": machines_agree(t),
-                "sigma_field": is_sigma_field(t.family),
-            }
-        )
-    )
+    # A validated topology is a sigma-field iff it is closed under
+    # complement, which is exactly what machines_agree counts.
+    agree = machines_agree(_load_topology(args.file))
+    print(dumps({"machines_agree": agree, "sigma_field": agree}))
     return 0
 
 
@@ -235,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enumerate", cmd_enumerate, "stream all questions on n points")
     p.add_argument("--n", type=_non_negative, required=True)
     p.add_argument("--labels", metavar="L1,L2,...")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--census", action="store_true")
+    report = p.add_mutually_exclusive_group()
+    report.add_argument("--count-only", action="store_true")
+    report.add_argument("--census", action="store_true")
 
     p = add("definite", cmd_definite, "questions with a definite answer for a point")
     p.add_argument("--n", type=_non_negative, required=True)

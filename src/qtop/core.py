@@ -25,7 +25,7 @@ class UnknownLabelError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """A size cap (ground width or enumeration limit) was exceeded."""
+    """The enumeration size limit was exceeded."""
 
 
 _set = object.__setattr__
@@ -223,6 +223,8 @@ class SubsetFamily(Frozen):
     __slots__ = _fields = ("masks", "ground")
 
     def __init__(self, masks: tuple[int, ...], ground: GroundSet) -> None:
+        if not isinstance(masks, tuple):
+            raise TypeError(f"family masks must be a tuple, got {type(masks).__name__}")
         if not all(map(operator.lt, masks, masks[1:])):
             raise ValueError("family members must be strictly ascending by mask")
         if masks and (masks[0] < 0 or masks[-1] > ground.full_mask):
@@ -350,7 +352,7 @@ class Topology(Frozen):
 
     @classmethod
     def discrete(cls, ground: GroundSet) -> "Topology":
-        return cls(SubsetFamily.from_masks(range(ground.full_mask + 1), ground))
+        return cls(SubsetFamily(tuple(range(ground.full_mask + 1)), ground))
 
     @classmethod
     def indiscrete(cls, ground: GroundSet) -> "Topology":

@@ -64,10 +64,6 @@ def dumps(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def subset_labels(s: Subset) -> list[str]:
-    return list(s.labels())
-
-
 def family_opens(f: SubsetFamily) -> list[tuple[str, ...]]:
     """The opens' label tuples, which ``json.dumps`` writes as arrays."""
     labels_of = f.ground.labels_of
@@ -75,7 +71,7 @@ def family_opens(f: SubsetFamily) -> list[tuple[str, ...]]:
 
 
 def question_document(ground: GroundSet, family: SubsetFamily) -> str:
-    return dumps({"elements": list(ground.labels), "opens": family_opens(family)})
+    return dumps({"elements": ground.labels, "opens": family_opens(family)})
 
 
 def family_document(family: SubsetFamily) -> str:
@@ -87,7 +83,7 @@ def _outcome(kind: QuestionType, carrier: Subset | None, family: SubsetFamily) -
     obj: dict[str, object] = {"kind": kind.value}
     if kind is QuestionType.TYPE_I:
         assert carrier is not None
-        obj["carrier"] = subset_labels(carrier)
+        obj["carrier"] = carrier.labels()
     obj["opens"] = family_opens(family)
     return obj
 

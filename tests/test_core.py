@@ -203,6 +203,10 @@ class TestSubsetFamily:
             SubsetFamily((2, 1), g)
         with pytest.raises(ValueError):
             SubsetFamily((1, 1), g)
+        # A list would compare unequal to the tuple and could not be hashed.
+        for masks in ([0, 1], range(2)):
+            with pytest.raises(TypeError, match="family masks must be a tuple"):
+                SubsetFamily(masks, g)
 
     def test_membership_needs_the_mask_and_the_ground(self):
         g, other = make_ground_set(["m", "s"]), make_ground_set(["a", "b"])

@@ -1,5 +1,6 @@
 """Laws on 6-16 points, where the exhaustive oracle cannot reach, and
-the label<->bit codec on 0-16 points.
+the label<->bit codec on 0-16 points; the sigma-field verdict of
+``qtop agree`` on 0-16 points, against the oracle up to 4.
 
 Families have at most four members, so the topology they generate has at
 most 168 opens (the free distributive lattice on four generators, with
@@ -8,7 +9,9 @@ under complement first gives at most eight members and a self-dual
 topology.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +22,7 @@ from qtop import (
     UnknownLabelError,
     classify_question,
     generated_topology,
+    is_sigma_field,
     is_topology,
     machines_agree,
     make_ground_set,
@@ -27,8 +31,12 @@ from qtop import (
     parse_question,
     resolve_issue,
 )
+from qtop.cli import main
 from qtop.core import minimal_opens
-from qtop.wire import family_document
+from qtop.wire import dumps, family_document
+
+from conftest import all_topologies
+from oracle import sigma_field_holds
 
 
 @st.composite
@@ -91,6 +99,34 @@ def topology_points(draw, max_n=16):
 def test_machines_agree_iff_negation_is_the_question(tx):
     t = tx[0]
     assert machines_agree(t) == (negation_question(t).masks == t.masks)
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("agree") / "q.json"
+
+
+def assert_agree_prints(t, verdict, path):
+    """``qtop agree`` on ``t``'s document prints ``verdict`` under both
+    keys: a topology is a sigma-field iff its machines agree."""
+    assert machines_agree(t) == is_sigma_field(t.family) == verdict
+    path.write_text(family_document(t.family))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["agree", str(path)]) == 0
+    assert out.getvalue() == dumps({"machines_agree": verdict, "sigma_field": verdict}) + "\n"
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_agree_is_the_oracle_sigma_field_verdict(n, doc_path):
+    for t in all_topologies(n):
+        assert_agree_prints(t, sigma_field_holds(list(t.masks), t.ground.full_mask), doc_path)
+
+
+@given(topology_points())
+def test_agree_is_the_sigma_field_verdict(doc_path, tx):
+    t = tx[0]
+    assert_agree_prints(t, is_sigma_field(t.family), doc_path)
 
 
 @given(topology_points())

@@ -261,6 +261,17 @@ class TestCliExitCodes:
             f"got {argv[2]}\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags", [["--count-only", "--census"], ["--census", "--count-only"]]
+    )
+    def test_count_only_and_census_are_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "3", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
     def test_deeply_nested_document_exits_two(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 5000 + "]" * 5000)
