@@ -50,21 +50,13 @@ class ResolutionOutcome(Frozen):
 
 
 class ResolutionStep(Frozen):
-    """One step of an iterated elimination chain."""
+    """One step of an iterated elimination chain: a point and its outcome."""
 
-    __slots__ = _fields = ("point", "kind", "carrier", "family")
+    __slots__ = _fields = ("point", "outcome")
 
-    def __init__(
-        self,
-        point: str,
-        kind: QuestionType,
-        carrier: Subset | None,
-        family: SubsetFamily,
-    ) -> None:
+    def __init__(self, point: str, outcome: ResolutionOutcome) -> None:
         _set(self, "point", point)
-        _set(self, "kind", kind)
-        _set(self, "carrier", carrier)
-        _set(self, "family", family)
+        _set(self, "outcome", outcome)
 
 
 def open_sets_containing(t: Topology, x: str) -> SubsetFamily:
@@ -140,9 +132,7 @@ def resolve_sequence(t: Topology, order: list[str]) -> list[ResolutionStep]:
     current = t
     for x in order:
         outcome = classify_question(current, x)
-        steps.append(
-            ResolutionStep(x, outcome.kind, outcome.carrier, outcome.result_family)
-        )
+        steps.append(ResolutionStep(x, outcome))
         if outcome.kind is not QuestionType.TYPE_I:
             break
         assert outcome.carrier is not None

@@ -1,9 +1,10 @@
 """Command-line surface.  Exit codes: 0 success, 1 domain/validation
-failure, 2 parse/usage error."""
+failure, 2 parse/usage error, 141 stdout closed by its reader."""
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -254,7 +255,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # Quiet the flush at exit, and report the status a shell gives a
+        # writer killed by SIGPIPE (128 + 13).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

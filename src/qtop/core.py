@@ -74,6 +74,8 @@ class GroundSet(Frozen):
     _fields = ("labels",)
 
     def __init__(self, labels: tuple[str, ...]) -> None:
+        if not isinstance(labels, tuple):
+            raise TypeError(f"ground labels must be a tuple, got {type(labels).__name__}")
         _set(self, "labels", labels)
         _set(self, "_bits", {l: 1 << i for i, l in enumerate(labels)})
         # The labels of each byte value: the low byte's from labels[:8],
@@ -234,6 +236,9 @@ class SubsetFamily(Frozen):
 
     @classmethod
     def of(cls, subsets: Iterable[Subset], ground: GroundSet) -> "SubsetFamily":
+        subsets = tuple(subsets)
+        if any(s.ground != ground for s in subsets):
+            raise ValueError("subsets lie over different ground sets")
         return cls.from_masks((s.mask for s in subsets), ground)
 
     @classmethod

@@ -30,12 +30,17 @@ class MachinePair(Frozen):
         _set(self, "self_dual", self_dual)
 
 
+def _complements(f: SubsetFamily | Topology) -> tuple[int, ...]:
+    """The complements of ``f``'s masks, ascending.  Complement strictly
+    reverses the order of masks within a ground, so ``f`` is closed
+    under complement iff this tuple equals its masks."""
+    full = f.ground.full_mask
+    return tuple(full & ~m for m in reversed(f.masks))
+
+
 def negation_question(t: Topology) -> Topology:
     """The topology of complements of every open of ``t``."""
-    full = t.ground.full_mask
-    # Complement reverses the order of masks, so the reversed tuple of
-    # complements is ascending.
-    return Topology(SubsetFamily(tuple(full & ~m for m in reversed(t.masks)), t.ground))
+    return Topology(SubsetFamily(_complements(t), t.ground))
 
 
 def clopen_sets(t: Topology) -> SubsetFamily:
@@ -48,8 +53,8 @@ def clopen_sets(t: Topology) -> SubsetFamily:
 
 def machines_agree(t: Topology) -> bool:
     """True iff the question equals its negation: every member clopen.
-    O(k), no negation built."""
-    return len(clopen_sets(t)) == len(t)
+    O(k): the reversed complements against the masks, no negation built."""
+    return _complements(t) == t.masks
 
 
 def is_sigma_field(f: SubsetFamily) -> bool:
@@ -58,31 +63,19 @@ def is_sigma_field(f: SubsetFamily) -> bool:
 
     Under complement closure the empty set brings the full set and union
     closure brings intersection closure, so the rest is the axiom check."""
-    full = f.ground.full_mask
-    present = set(f.masks)
-    return all(full & ~m in present for m in f.masks) and is_topology(f)[0]
+    return _complements(f) == f.masks and is_topology(f)[0]
 
 
 def make_machine_pair(t: Topology) -> MachinePair:
-    shared = clopen_sets(t)
-    return MachinePair(
-        question=t,
-        negation=negation_question(t),
-        shared=shared,
-        self_dual=len(shared) == len(t),
-    )
+    negation = negation_question(t)
+    return MachinePair(t, negation, clopen_sets(t), negation == t)
 
 
-def atomic_machine_census(
-    topologies: list[Topology],
-) -> list[tuple[Topology, Topology, bool]]:
+def atomic_machine_census(topologies: list[Topology]) -> list[MachinePair]:
     """Pair each question with its negation and flag the self-dual ones."""
     if topologies:
         ground = topologies[0].ground
         for t in topologies:
             if t.ground != ground:
                 raise ValueError("census requires one common ground set")
-    out = []
-    for t in topologies:
-        out.append((t, negation_question(t), machines_agree(t)))
-    return out
+    return [make_machine_pair(t) for t in topologies]

@@ -13,7 +13,6 @@ import json
 from .core import (
     GroundSet,
     GroundSetError,
-    Subset,
     SubsetFamily,
     UnknownLabelError,
     make_ground_set,
@@ -78,20 +77,20 @@ def family_document(family: SubsetFamily) -> str:
     return question_document(family.ground, family)
 
 
-def _outcome(kind: QuestionType, carrier: Subset | None, family: SubsetFamily) -> dict:
+def _outcome(outcome: ResolutionOutcome) -> dict:
     """``kind``, then ``carrier`` for TYPE_I only, then ``opens``."""
-    obj: dict[str, object] = {"kind": kind.value}
-    if kind is QuestionType.TYPE_I:
-        assert carrier is not None
-        obj["carrier"] = carrier.labels()
-    obj["opens"] = family_opens(family)
+    obj: dict[str, object] = {"kind": outcome.kind.value}
+    if outcome.kind is QuestionType.TYPE_I:
+        assert outcome.carrier is not None
+        obj["carrier"] = outcome.carrier.labels()
+    obj["opens"] = family_opens(outcome.result_family)
     return obj
 
 
 def outcome_document(outcome: ResolutionOutcome) -> str:
-    return dumps(_outcome(outcome.kind, outcome.carrier, outcome.result_family))
+    return dumps(_outcome(outcome))
 
 
 def steps_document(steps: list[ResolutionStep]) -> str:
-    out = [{"point": s.point, **_outcome(s.kind, s.carrier, s.family)} for s in steps]
+    out = [{"point": s.point, **_outcome(s.outcome)} for s in steps]
     return dumps({"steps": out})

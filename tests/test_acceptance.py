@@ -181,12 +181,12 @@ def test_criterion_09_hereditary_discreteness():
                 sub = subspace_topology(t, outcome.carrier)
                 assert len(sub) == 1 << (n - 1)  # discrete again
             steps = resolve_sequence(t, list(g.labels))
-            kinds = [s.kind for s in steps]
+            kinds = [s.outcome.kind for s in steps]
             assert kinds[: n - 1] == [QuestionType.TYPE_I] * (n - 1)
             assert kinds[n - 1] is QuestionType.TYPE_II
             size = n
             for step in steps[: n - 1]:
-                assert len(step.carrier) == size - 1  # one assertion per step
+                assert len(step.outcome.carrier) == size - 1  # one assertion per step
                 size -= 1
 
 

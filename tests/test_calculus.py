@@ -185,28 +185,28 @@ class TestResolveSequence:
         t = Topology.discrete(mse_ground)
         steps = resolve_sequence(t, ["m"])
         assert len(steps) == 1
-        assert steps[0].kind is QuestionType.TYPE_I
-        assert steps[0].carrier.labels() == ("s", "e")
-        assert len(steps[0].family) == 4  # discrete on 2 points
+        assert steps[0].outcome.kind is QuestionType.TYPE_I
+        assert steps[0].outcome.carrier.labels() == ("s", "e")
+        assert len(steps[0].outcome.result_family) == 4  # discrete on 2 points
 
     def test_discrete_two_steps(self, mse_ground):
         t = Topology.discrete(mse_ground)
         steps = resolve_sequence(t, ["m", "s"])
-        assert [s.kind for s in steps] == [QuestionType.TYPE_I, QuestionType.TYPE_I]
-        assert steps[1].carrier.labels() == ("e",)
-        assert len(steps[1].family) == 2
+        assert [s.outcome.kind for s in steps] == [QuestionType.TYPE_I, QuestionType.TYPE_I]
+        assert steps[1].outcome.carrier.labels() == ("e",)
+        assert len(steps[1].outcome.result_family) == 2
 
     def test_stops_at_type_two(self, t_x):
         steps = resolve_sequence(t_x, ["m", "s"])
         assert len(steps) == 1
-        assert steps[0].kind is QuestionType.TYPE_II
+        assert steps[0].outcome.kind is QuestionType.TYPE_II
 
     def test_eliminated_label_is_type_three(self, mse_ground):
         # resolving s on {phi,{m},X} drops both s and e; asking e then
         # hits a space that no longer contains it
         t = topology_from_masks([0, 1, 7], mse_ground)
         steps = resolve_sequence(t, ["s", "e"])
-        assert [s.kind for s in steps] == [QuestionType.TYPE_I, QuestionType.TYPE_III]
+        assert [s.outcome.kind for s in steps] == [QuestionType.TYPE_I, QuestionType.TYPE_III]
 
     def test_duplicate_points_rejected(self, t_x):
         with pytest.raises(ValueError, match="distinct"):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtop import (
+    GroundSet,
     GroundSetError,
     Subset,
     SubsetFamily,
@@ -103,6 +104,13 @@ class TestGroundSet:
         with pytest.raises(GroundSetError, match="empty"):
             make_ground_set(["m", ""])
 
+    def test_direct_construction_needs_a_tuple(self):
+        # A list would compare unequal to the tuple and could not be hashed.
+        for labels in (["a", "b"], "ab"):
+            with pytest.raises(TypeError, match="ground labels must be a tuple"):
+                GroundSet(labels)
+        assert hash(GroundSet(("a", "b"))) == hash(make_ground_set(["a", "b"]))
+
     def test_too_many_elements_rejected(self):
         with pytest.raises(GroundSetError, match="too many"):
             make_ground_set([f"x{i}" for i in range(17)])
@@ -190,6 +198,14 @@ class TestSubsetFamily:
             [g.subset(["s"]), g.subset(["m"]), g.subset(["s"]), g.empty()], g
         )
         assert fam.masks == (0, 1, 2)
+
+    def test_subsets_over_another_ground_rejected(self):
+        g, h = make_ground_set(["a", "b"]), make_ground_set(["x", "y"])
+        with pytest.raises(ValueError) as e:
+            SubsetFamily.of([h.subset(["x"]), g.empty()], g)
+        assert str(e.value) == "subsets lie over different ground sets"
+        # An equal ground is the same ground.
+        assert SubsetFamily.of([make_ground_set("ab").subset("a")], g).masks == (1,)
 
     @given(st.sets(st.integers(min_value=0, max_value=15)))
     def test_recanonicalizing_is_a_noop(self, masks):

@@ -141,21 +141,21 @@ class TestMachinePair:
 class TestAtomicMachineCensus:
     def test_two_point_space(self):
         census = atomic_machine_census(all_topologies(2))
-        self_dual = [t.masks for t, _, dual in census if dual]
+        self_dual = [p.question.masks for p in census if p.self_dual]
         assert self_dual == [(0, 1, 2, 3), (0, 3)]
-        pairs = {t.masks: neg.masks for t, neg, _ in census}
+        pairs = {p.question.masks: p.negation.masks for p in census}
         assert pairs[(0, 1, 3)] == (0, 2, 3)
         assert pairs[(0, 2, 3)] == (0, 1, 3)
 
     def test_one_point_space(self):
         census = atomic_machine_census(all_topologies(1))
-        assert len(census) == 1 and census[0][2]
+        assert len(census) == 1 and census[0].self_dual
 
     def test_negation_is_involution_on_question_space(self):
         topologies = all_topologies(3)
         listed = {t.masks for t in topologies}
-        for _, neg, _ in atomic_machine_census(topologies):
-            assert neg.masks in listed
+        for pair in atomic_machine_census(topologies):
+            assert pair.negation.masks in listed
 
     def test_mixed_grounds_rejected(self, ms_ground, mse_ground):
         with pytest.raises(ValueError, match="common ground"):

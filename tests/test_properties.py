@@ -30,6 +30,8 @@ from qtop import (
     neighborhood_system,
     parse_question,
     resolve_issue,
+    resolve_sequence,
+    subspace_topology,
 )
 from qtop.cli import main
 from qtop.core import minimal_opens
@@ -82,17 +84,43 @@ def test_negation_is_an_involution(pair):
 
 
 @st.composite
-def topology_points(draw, max_n=16):
-    """A generated topology on 6-``max_n`` points, self-dual if its family
-    was first closed under complement, and one of its points."""
+def families(draw, max_n=16):
+    """A family on 6-``max_n`` points, closed under complement half the
+    time."""
     family = draw(family_pairs(max_n))[1]
     if draw(st.booleans()):
         full = family.ground.full_mask
         family = SubsetFamily.from_masks(
             {*family.masks, *(full & ~m for m in family.masks)}, family.ground
         )
-    t = generated_topology(family)
+    return family
+
+
+@st.composite
+def topology_points(draw, max_n=16):
+    """A generated topology on 6-``max_n`` points, self-dual if its family
+    was first closed under complement, and one of its points."""
+    t = generated_topology(draw(families(max_n)))
     return t, draw(st.sampled_from(t.ground.labels))
+
+
+def sigma_field_by_membership(f):
+    """The definition: the empty set, and every complement and pairwise
+    union of members, are members."""
+    full, present = f.ground.full_mask, set(f.masks)
+    return (
+        0 in present
+        and all(full & ~a in present for a in present)
+        and all(a | b in present for a in present for b in present)
+    )
+
+
+@given(families())
+def test_is_sigma_field_is_the_membership_definition(family):
+    # A raw family is rarely a sigma-field, even once closed under
+    # complement; the topology generated from a closed one always is.
+    for f in (family, generated_topology(family).family):
+        assert is_sigma_field(f) == sigma_field_by_membership(f)
 
 
 @given(topology_points())
@@ -141,6 +169,22 @@ def test_classify_carrier_is_the_union_of_the_opens_avoiding_the_point(tx):
     else:
         assert outcome.kind is QuestionType.TYPE_I
         assert outcome.carrier.mask == union != 0
+
+
+@given(topology_points(), st.data())
+def test_each_step_holds_the_outcome_on_its_subspace(tx, data):
+    t = tx[0]
+    order = data.draw(st.permutations(t.ground.labels))
+    steps = resolve_sequence(t, order)
+    assert [s.point for s in steps] == order[: len(steps)]
+    current = t
+    for s in steps:
+        assert s.outcome == classify_question(current, s.point)
+        if s.outcome.kind is QuestionType.TYPE_I:
+            current = subspace_topology(current, s.outcome.carrier)
+        else:
+            assert s is steps[-1]
+    assert len(steps) == len(order) or steps[-1].outcome.kind is not QuestionType.TYPE_I
 
 
 @given(topology_points(max_n=10))

@@ -74,9 +74,10 @@ VALUES = {
     ),
     "ResolutionStep": (
         lambda: resolve_sequence(t_ab(), ["b"])[0],
-        "ResolutionStep(point='b', kind=<QuestionType.TYPE_I: 'type-1'>, "
-        f"carrier=Subset({{a}}), family=SubsetFamily(masks=(0, 1), ground={AB}))",
-        ("point", "kind", "carrier", "family"),
+        "ResolutionStep(point='b', outcome=ResolutionOutcome(kind=<QuestionType.TYPE_I: "
+        f"'type-1'>, result_family=SubsetFamily(masks=(0, 1), ground={AB}), "
+        "carrier=Subset({a})))",
+        ("point", "outcome"),
     ),
     "MachinePair": (
         lambda: make_machine_pair(t_ab()),

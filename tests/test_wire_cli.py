@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +227,38 @@ class TestCliExitCodes:
             runpy.run_module("qtop.cli", run_name="__main__")
         assert exc.value.code == 0
         assert capsys.readouterr().out == '{"n":2,"count":4}\n'
+
+    def test_closed_stdout_exits_141_quietly(self):
+        """``qtop enumerate --n 5 | head -n 1``: the reader goes away while
+        the writer still holds far more than a pipe buffer."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qtop.cli", "enumerate", "--n", "5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline().startswith(b'{"elements":["x0"')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate", "--n", "4"], ["enumerate", "--n", "2", "--count-only"]],
+        ids=["overflows-the-buffer", "fits-in-the-buffer"],
+    )
+    def test_closed_stdout_is_pointed_at_devnull(self, argv, monkeypatch, capsys):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as closed, monkeypatch.context() as m:
+            m.setattr(sys, "stdout", closed)
+            assert main(argv) == 141
+            assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+        # Closing flushed the rest of the buffer into the null device.
+        assert capsys.readouterr() == ("", "")
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
