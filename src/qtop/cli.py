@@ -35,7 +35,6 @@ from .wire import (
     family_document,
     outcome_document,
     parse_question,
-    question_document,
     steps_document,
 )
 
@@ -119,7 +118,7 @@ def cmd_sequence(args) -> int:
 
 def cmd_negate(args) -> int:
     t = _load_topology(args.file)
-    print(family_document(negation_question(t).family))
+    print(family_document(negation_question(t)))
     return 0
 
 
@@ -162,14 +161,14 @@ def cmd_enumerate(args) -> int:
         )
         return 0
     for t in enumerate_topologies(ground):
-        print(question_document(ground, t.family))
+        print(family_document(t))
     return 0
 
 
 def cmd_definite(args) -> int:
     ground = _ground_for(args.n, args.labels)
     for t in find_definite_questions(ground, args.point):
-        print(question_document(ground, t.family))
+        print(family_document(t))
     return 0
 
 
@@ -177,7 +176,7 @@ def cmd_parents(args) -> int:
     t = _load_topology(args.file)
     superset = make_ground_set(_points(args.superset))
     for parent in parent_questions(t, superset, args.limit):
-        print(question_document(superset, parent.family))
+        print(family_document(parent))
     return 0
 
 
@@ -253,11 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        status = args.func(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
-        return status
+        try:
+            args = parser.parse_args(argv)  # --help and --version exit here
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
     except BrokenPipeError:
         # Quiet the flush at exit, and report the status a shell gives a
         # writer killed by SIGPIPE (128 + 13).

@@ -317,51 +317,41 @@ def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
     )
     if transitive and _union_closure(least, len(masks)) == present:
         return True, None
-    for a, b in combinations(masks, 2):
-        for axiom, name, m in (("C2", "union", a | b), ("C3", "intersection", a & b)):
-            if m not in present:
-                wa, wb = Subset(a, ground), Subset(b, ground)
-                return False, AxiomViolation(
-                    axiom, f"{name} of {wa!r} and {wb!r} is not in the family", (wa, wb)
-                )
-    # Unreachable: C1 plus pairwise C2/C3 is a topology, caught by the closure test.
-    raise AssertionError("C1 and pairwise closure hold, yet the family is no topology")
+    a, b, axiom, name = next(
+        (a, b, axiom, name)
+        for a, b in combinations(masks, 2)
+        for axiom, name, m in (("C2", "union", a | b), ("C3", "intersection", a & b))
+        if m not in present
+    )
+    wa, wb = Subset(a, ground), Subset(b, ground)
+    return False, AxiomViolation(
+        axiom, f"{name} of {wa!r} and {wb!r} is not in the family", (wa, wb)
+    )
 
 
-class Topology(Frozen):
-    """A subset family satisfying C1-C3: a question, its opens the answers.
+class Topology(SubsetFamily):
+    """A subset family that satisfied C1-C3: a question, its opens the
+    answers.  Equal only to another ``Topology`` with the same masks.
 
-    The direct constructor trusts its input; ``make_topology`` validates.
-    Results of negation and subspace restriction are topologies by
-    construction and are built trusted.
+    The direct constructor checks only the canonical form; ``make_topology``
+    validates the axioms.  Results of negation and subspace restriction
+    are topologies by construction and skip the axiom check.
     """
 
-    __slots__ = _fields = ("family",)
-
-    def __init__(self, family: SubsetFamily) -> None:
-        _set(self, "family", family)
+    __slots__ = ()
 
     @property
-    def ground(self) -> GroundSet:
-        return self.family.ground
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return self.family.masks
-
-    def __iter__(self) -> Iterator[Subset]:
-        return iter(self.family)
-
-    def __len__(self) -> int:
-        return len(self.family)
+    def family(self) -> SubsetFamily:
+        """The same masks and ground as a plain ``SubsetFamily``."""
+        return SubsetFamily(self.masks, self.ground)
 
     @classmethod
     def discrete(cls, ground: GroundSet) -> "Topology":
-        return cls(SubsetFamily(tuple(range(ground.full_mask + 1)), ground))
+        return cls(tuple(range(ground.full_mask + 1)), ground)
 
     @classmethod
     def indiscrete(cls, ground: GroundSet) -> "Topology":
-        return cls(SubsetFamily.from_masks({0, ground.full_mask}, ground))
+        return cls.from_masks({0, ground.full_mask}, ground)
 
 
 def make_topology(family: SubsetFamily) -> Topology:
@@ -369,7 +359,7 @@ def make_topology(family: SubsetFamily) -> Topology:
     if not ok:
         assert violation is not None
         raise TopologyError(violation)
-    return Topology(family)
+    return Topology(family.masks, family.ground)
 
 
 def minimal_opens(masks: tuple[int, ...], n: int) -> list[int]:
@@ -400,7 +390,7 @@ def generated_topology(family: SubsetFamily) -> Topology:
     # never stops the closure early.
     ground = family.ground
     opens = _union_closure(minimal_opens(family.masks, ground.size), ground.full_mask + 1)
-    return Topology(SubsetFamily.from_masks(opens, ground))
+    return Topology.from_masks(opens, ground)
 
 
 def _union_closure(generators: Iterable[int], cap: int) -> set[int]:

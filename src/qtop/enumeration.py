@@ -12,7 +12,6 @@ from .core import (
     Frozen,
     GroundSet,
     SizeLimitError,
-    SubsetFamily,
     Topology,
     UnknownLabelError,
     _set,
@@ -60,7 +59,7 @@ def enumerate_topologies(ground: GroundSet) -> Iterator[Topology]:
     _check_size(ground.size)
     # Kernel tuples are strictly ascending and in range: no re-sort.
     for masks in kernel.topology_masks(ground.size):
-        yield Topology(SubsetFamily(masks, ground))
+        yield Topology(masks, ground)
 
 
 def count_topologies(n: int) -> int:
@@ -127,7 +126,7 @@ def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
     _check_size(ground.size)
     forbidden = _lacking(ground, 1 << ground.index(x))
     for masks in kernel.topology_masks(ground.size, forbidden=forbidden):
-        yield Topology(SubsetFamily(masks, ground))
+        yield Topology(masks, ground)
 
 
 def elimination_efficiency(t: Topology, x: str) -> int:
@@ -157,7 +156,7 @@ def parent_questions(
         1 << superset_ground.mask_of(t.ground.labels_of(m)) for m in t.masks
     )
     found = (
-        Topology(SubsetFamily(masks, superset_ground))
+        Topology(masks, superset_ground)
         for masks in kernel.topology_masks(superset_ground.size, required=required)
     )
     yield from itertools.islice(found, limit)

@@ -59,6 +59,7 @@ def topology_masks(
             rec(s + 1, chosen, chosen_bits, required)
 
     rec(1, (), 1, required)
+    del rec  # rec holds itself through its closure cell: free it now, not at a GC
     return out
 
 

@@ -30,7 +30,7 @@ class MachinePair(Frozen):
         _set(self, "self_dual", self_dual)
 
 
-def _complements(f: SubsetFamily | Topology) -> tuple[int, ...]:
+def _complements(f: SubsetFamily) -> tuple[int, ...]:
     """The complements of ``f``'s masks, ascending.  Complement strictly
     reverses the order of masks within a ground, so ``f`` is closed
     under complement iff this tuple equals its masks."""
@@ -40,7 +40,7 @@ def _complements(f: SubsetFamily | Topology) -> tuple[int, ...]:
 
 def negation_question(t: Topology) -> Topology:
     """The topology of complements of every open of ``t``."""
-    return Topology(SubsetFamily(_complements(t), t.ground))
+    return Topology(_complements(t), t.ground)
 
 
 def clopen_sets(t: Topology) -> SubsetFamily:

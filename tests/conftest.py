@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from qtop import Topology, SubsetFamily, make_ground_set
+from qtop import Topology, make_ground_set
 
 from oracle import brute_force_topologies
 
@@ -25,14 +25,10 @@ def ground_of(n: int):
     return make_ground_set(DEFAULT_LABELS[:n])
 
 
-def topology_from_masks(masks, ground) -> Topology:
-    return Topology(SubsetFamily.from_masks(masks, ground))
-
-
 def all_topologies(n: int) -> list[Topology]:
     """Every topology on n points, built from the brute-force oracle."""
     ground = ground_of(n)
-    return [topology_from_masks(masks, ground) for masks in oracle_families(n)]
+    return [Topology.from_masks(masks, ground) for masks in oracle_families(n)]
 
 
 @pytest.fixture(scope="session")
@@ -48,4 +44,4 @@ def mse_ground():
 @pytest.fixture(scope="session")
 def t_x(mse_ground):
     """The worked example: {phi, {m}, {m,s}, {m,e}, X} on {m,s,e}."""
-    return topology_from_masks([0, 1, 3, 5, 7], mse_ground)
+    return Topology.from_masks([0, 1, 3, 5, 7], mse_ground)

@@ -27,7 +27,7 @@ from qtop import (
 )
 from qtop.cli import main
 
-from conftest import all_topologies, ground_of, oracle_families, topology_from_masks
+from conftest import all_topologies, ground_of, oracle_families
 from oracle import brute_force_topologies
 
 T_X_DOC = (
@@ -221,7 +221,7 @@ def check_parents(x_labels, y_ground, y_families):
         return out
 
     for t_masks in brute_force_topologies(len(x_labels)):
-        t = topology_from_masks(t_masks, x_ground)
+        t = Topology.from_masks(t_masks, x_ground)
         wanted = {embed(m) for m in t_masks}
         expected = [fam for fam in y_families if wanted <= set(fam)]
         got = [p.masks for p in parent_questions(t, y_ground)]

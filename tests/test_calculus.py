@@ -14,7 +14,7 @@ from qtop import (
     subspace_topology,
 )
 
-from conftest import all_topologies, ground_of, topology_from_masks
+from conftest import all_topologies, ground_of
 
 
 class TestOpenSetsContaining:
@@ -38,7 +38,7 @@ class TestNeighborhoodSystem:
         assert neighborhood_system(t_x, "e").masks == (5, 7)
 
     def test_t2_point_m(self, ms_ground):
-        t = topology_from_masks([0, 1, 3], ms_ground)
+        t = Topology.from_masks([0, 1, 3], ms_ground)
         assert neighborhood_system(t, "m").masks == (1, 3)
 
     def test_indiscrete_point_s(self, mse_ground):
@@ -204,7 +204,7 @@ class TestResolveSequence:
     def test_eliminated_label_is_type_three(self, mse_ground):
         # resolving s on {phi,{m},X} drops both s and e; asking e then
         # hits a space that no longer contains it
-        t = topology_from_masks([0, 1, 7], mse_ground)
+        t = Topology.from_masks([0, 1, 7], mse_ground)
         steps = resolve_sequence(t, ["s", "e"])
         assert [s.outcome.kind for s in steps] == [QuestionType.TYPE_I, QuestionType.TYPE_III]
 

@@ -20,7 +20,7 @@ from qtop import (
 
 from qtop.core import minimal_opens
 
-from conftest import all_topologies, ground_of, oracle_families, topology_from_masks
+from conftest import all_topologies, ground_of, oracle_families
 from oracle import first_violation
 
 

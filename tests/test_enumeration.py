@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,7 @@ from qtop import (
 )
 from qtop import kernel
 
-from conftest import all_topologies, ground_of, oracle_families, topology_from_masks
+from conftest import all_topologies, ground_of, oracle_families
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 # Bell numbers, OEIS A000110: the set partitions of n points.
@@ -86,6 +87,19 @@ class TestConstrainedKernel:
         with pytest.raises(ValueError) as e:
             kernel.topology_masks(n)
         assert str(e.value) == f"enumeration supports 0 <= n <= 5, got {n}"
+
+    def test_the_search_leaves_no_reference_cycle(self):
+        """Its result is freed with its last reference, not at the next
+        garbage collection."""
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            kernel.topology_masks(3)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_requiring_an_embedded_topology(self, n):
@@ -241,7 +255,7 @@ class TestEliminationEfficiency:
 class TestParentQuestions:
     def test_singleton_into_two_points(self, ms_ground):
         g1 = make_ground_set(["m"])
-        t = topology_from_masks([0, 1], g1)
+        t = Topology.from_masks([0, 1], g1)
         parents = [p.masks for p in parent_questions(t, ms_ground)]
         assert parents == [(0, 1, 2, 3), (0, 1, 3)]  # T1 and T2
 
@@ -255,7 +269,7 @@ class TestParentQuestions:
 
     def test_limit_truncates(self, ms_ground):
         g1 = make_ground_set(["m"])
-        t = topology_from_masks([0, 1], g1)
+        t = Topology.from_masks([0, 1], g1)
         assert len(list(parent_questions(t, ms_ground, limit=1))) == 1
 
     def test_label_mismatch_rejected(self, ms_ground):

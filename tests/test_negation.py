@@ -13,12 +13,12 @@ from qtop import (
 )
 from qtop.core import SubsetFamily
 
-from conftest import all_topologies, ground_of, topology_from_masks
+from conftest import all_topologies, ground_of
 
 
 class TestNegationQuestion:
     def test_t2_negates_to_t3(self, ms_ground):
-        t2 = topology_from_masks([0, 1, 3], ms_ground)
+        t2 = Topology.from_masks([0, 1, 3], ms_ground)
         assert negation_question(t2).masks == (0, 2, 3)
 
     def test_discrete_is_self_dual(self, ms_ground):
@@ -51,7 +51,7 @@ class TestNegationQuestion:
 
 class TestClopenSets:
     def test_t2_shares_only_trivial_sets(self, ms_ground):
-        t2 = topology_from_masks([0, 1, 3], ms_ground)
+        t2 = Topology.from_masks([0, 1, 3], ms_ground)
         assert clopen_sets(t2).masks == (0, 3)
 
     def test_discrete_shares_everything(self, ms_ground):
@@ -117,12 +117,12 @@ class TestMachinesAgree:
 
         monkeypatch.setattr(qtop.negation, "negation_question", refuse)
         assert machines_agree(Topology.discrete(mse_ground))
-        assert not machines_agree(topology_from_masks([0, 1, 3, 7], mse_ground))
+        assert not machines_agree(Topology.from_masks([0, 1, 3, 7], mse_ground))
 
 
 class TestMachinePair:
     def test_t2_pair(self, ms_ground):
-        pair = make_machine_pair(topology_from_masks([0, 1, 3], ms_ground))
+        pair = make_machine_pair(Topology.from_masks([0, 1, 3], ms_ground))
         assert pair.negation.masks == (0, 2, 3)
         assert pair.shared.masks == (0, 3)
         assert not pair.self_dual

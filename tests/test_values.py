@@ -34,6 +34,7 @@ from qtop import (
     make_machine_pair,
     resolve_sequence,
 )
+from qtop.wire import family_document
 
 
 def ab():
@@ -41,7 +42,7 @@ def ab():
 
 
 def t_ab():
-    return Topology(SubsetFamily((0, 1, 3), ab()))
+    return Topology((0, 1, 3), ab())
 
 
 def c2_violation():
@@ -52,7 +53,7 @@ def c2_violation():
 
 AB = "GroundSet(labels=('a', 'b'))"
 FAMILY = f"SubsetFamily(masks=(0, 1, 3), ground={AB})"
-TOPOLOGY = f"Topology(family={FAMILY})"
+TOPOLOGY = f"Topology(masks=(0, 1, 3), ground={AB})"
 
 # (build a fresh instance, its repr, its constructor's field names)
 VALUES = {
@@ -65,7 +66,7 @@ VALUES = {
         "is not in the family', witnesses=(Subset({a}), Subset({b})))",
         ("axiom", "message", "witnesses"),
     ),
-    "Topology": (t_ab, TOPOLOGY, ("family",)),
+    "Topology": (t_ab, TOPOLOGY, ("masks", "ground")),
     "ResolutionOutcome": (
         lambda: classify_question(t_ab(), "b"),
         "ResolutionOutcome(kind=<QuestionType.TYPE_I: 'type-1'>, "
@@ -81,8 +82,8 @@ VALUES = {
     ),
     "MachinePair": (
         lambda: make_machine_pair(t_ab()),
-        f"MachinePair(question={TOPOLOGY}, negation=Topology(family="
-        f"SubsetFamily(masks=(0, 2, 3), ground={AB})), shared=SubsetFamily("
+        f"MachinePair(question={TOPOLOGY}, negation=Topology("
+        f"masks=(0, 2, 3), ground={AB}), shared=SubsetFamily("
         f"masks=(0, 3), ground={AB}), self_dual=False)",
         ("question", "negation", "shared", "self_dual"),
     ),
@@ -149,6 +150,18 @@ def test_equality_needs_the_same_class():
     assert Marked(1, g) != Subset(1, g)
     assert Subset(1, g) != Marked(1, g)
     assert Marked(1, g) == Marked(1, g)
+
+
+def test_a_topology_is_its_family():
+    """A topology is the family that passed C1-C3: a ``SubsetFamily``
+    with the same fields, equal only to another ``Topology``."""
+    t = t_ab()
+    plain = SubsetFamily(t.masks, t.ground)
+    assert isinstance(t, SubsetFamily)
+    assert t != plain and plain != t
+    assert t.family == plain
+    assert family_document(t) == family_document(t.family)
+    assert type(pickle.loads(pickle.dumps(t))) is Topology
 
 
 def test_unequal_fields_are_unequal():

@@ -245,6 +245,25 @@ class TestCliExitCodes:
         assert proc.wait() == 141
         assert err == b""
 
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_on_a_closed_pipe_exit_141_quietly(self, flag):
+        """``qtop --version | (exec 0<&-)``: the reader is gone before the
+        block-buffered text is flushed, which argparse leaves to exit."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qtop.cli", flag],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env={**env, "PYTHONPATH": src},
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
     @pytest.mark.parametrize(
         "argv",
         [["enumerate", "--n", "4"], ["enumerate", "--n", "2", "--count-only"]],

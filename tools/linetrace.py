@@ -8,20 +8,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = {str(p): p.read_text().splitlines() for p in sorted((SRC / "qtop").glob("*.py"))}
-# C1 with pairwise C2 and C3 is a topology, which is_topology returns first.
-UNREACHABLE = {("core.py", 'raise AssertionError("C1 and pairwise closure hold, yet the family is no topology")')}
-SKIP = {
-    (f, i)
-    for f, text in SOURCES.items()
-    for i, line in enumerate(text, 1)
-    if (Path(f).name, line.strip()) in UNREACHABLE
-}
 reached = set()
 unseen = {}  # code object -> its lines yet to run; empty outside src/qtop
 
 
 def own_lines(code):
-    lines = {(code.co_filename, i) for _, _, i in code.co_lines() if i} - SKIP
+    lines = {(code.co_filename, i) for _, _, i in code.co_lines() if i}
     if code.co_name != "<module>":
         lines.discard((code.co_filename, code.co_firstlineno))  # the def line runs in its parent
     return lines
@@ -62,7 +54,5 @@ report = [
     f"{Path(f).relative_to(SRC.parent)}:{i}: {SOURCES[f][i - 1].strip()}"
     for f, i in sorted(executable - reached)
 ]
-if len(SKIP) != len(UNREACHABLE):
-    report.append(f"UNREACHABLE names {len(UNREACHABLE)} lines; the sources hold {len(SKIP)} of them")
 print("\n".join(report) or "every line of src/qtop was reached")
 sys.exit(status or bool(report))
