@@ -12,15 +12,7 @@ from __future__ import annotations
 
 import enum
 
-from .core import (
-    Frozen,
-    GroundSet,
-    GroundSetError,
-    Subset,
-    SubsetFamily,
-    Topology,
-    _set,
-)
+from .core import Frozen, GroundSet, GroundSetError, Subset, SubsetFamily, Topology
 
 
 class QuestionType(enum.Enum):
@@ -37,26 +29,13 @@ class ResolutionOutcome(Frozen):
     """
 
     __slots__ = _fields = ("kind", "result_family", "carrier")
-
-    def __init__(
-        self,
-        kind: QuestionType,
-        result_family: SubsetFamily,
-        carrier: Subset | None = None,
-    ) -> None:
-        _set(self, "kind", kind)
-        _set(self, "result_family", result_family)
-        _set(self, "carrier", carrier)
+    _defaults = {"carrier": None}
 
 
 class ResolutionStep(Frozen):
     """One step of an iterated elimination chain: a point and its outcome."""
 
     __slots__ = _fields = ("point", "outcome")
-
-    def __init__(self, point: str, outcome: ResolutionOutcome) -> None:
-        _set(self, "point", point)
-        _set(self, "outcome", outcome)
 
 
 def open_sets_containing(t: Topology, x: str) -> SubsetFamily:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator
-from itertools import combinations
 
 MAX_GROUND_SIZE = 16
 
@@ -33,15 +32,33 @@ _set = object.__setattr__
 
 class Frozen:
     """Immutable slotted value.  ``==`` (same class only), ``hash``,
-    ``repr`` and pickling read ``_fields``, the constructor's arguments
-    in order; ``__init__`` fills the slots with ``_set``."""
+    ``repr``, pickling and the constructor read ``_fields``, the
+    constructor's arguments in order; slots are filled with ``_set``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         # The fields in one C call: the value of one, a tuple of several.
         cls._key = staticmethod(operator.attrgetter(*cls._fields))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        """Bind the arguments to ``_fields`` as a ``def`` with those
+        parameters would; a field not given takes its ``_defaults`` value."""
+        fields = self._fields
+        name = self.__class__.__qualname__
+        if len(args) > len(fields) or kwargs.keys() - fields[len(args):]:
+            raise TypeError(
+                f"{name}{fields} got {len(args)} positional arguments and the "
+                f"keywords {sorted(kwargs)}: too many, unknown or repeated"
+            )
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if len(values) < len(fields):
+            missing = [f for f in fields if f not in values]
+            raise TypeError(f"{name}{fields} is missing {missing}")
+        for f in fields:
+            _set(self, f, values[f])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -258,16 +275,11 @@ class SubsetFamily(Frozen):
 
 
 class AxiomViolation(Frozen):
-    """First failed topology axiom, with the sets that witness the failure."""
+    """First failed topology axiom ("C1", "C2" or "C3"), with the sets
+    that witness the failure."""
 
     __slots__ = _fields = ("axiom", "message", "witnesses")
-
-    def __init__(
-        self, axiom: str, message: str, witnesses: tuple[Subset, ...] = ()
-    ) -> None:
-        _set(self, "axiom", axiom)  # "C1", "C2" or "C3"
-        _set(self, "message", message)
-        _set(self, "witnesses", witnesses)
+    _defaults = {"witnesses": ()}
 
 
 class TopologyError(ValueError):
@@ -288,10 +300,20 @@ def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
     are closed under intersection as well as union: every point z of
     A & B has ``V_z`` within A & B.  Finding the ``V_x`` is one scan that
     stops once every point is seen, and the union closure stops as soon
-    as it outnumbers the family's k members.  Only a family that fails
-    is scanned pairwise, to name the first pair (in
-    ``itertools.combinations`` order, union before intersection) whose
-    union (C2) or intersection (C3) is missing.
+    as it outnumbers the family's k members.
+
+    Only a family that fails is scanned pairwise, to name the first pair
+    (a, b), a < b, union before intersection, whose union (C2) or
+    intersection (C3) is missing.  Only the rows a = ``V_x`` are
+    scanned, at most n rows of k pairs, since the first violation always
+    lies in one.  Suppose a is no ``V_x``.  Every ``V_x`` with x in a
+    then comes before a, and so does every pair that holds it, so those
+    pairs pass.  For a member c holding such an x, ``V_x & c`` is then a
+    member holding x, and no member before ``V_x`` holds x, so ``V_x``
+    lies in c.  So a & b is the union of the ``V_z`` with z in a & b,
+    and a | b is b joined with every ``V_x`` with x in a.  Each join is
+    a pair in an earlier row (or, once a partial union reaches a, a lies
+    in b), so both are members.
     """
     ground = family.ground
     masks = family.masks
@@ -317,9 +339,12 @@ def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
     )
     if transitive and _union_closure(least, len(masks)) == present:
         return True, None
+    rows = set(least)
     a, b, axiom, name = next(
         (a, b, axiom, name)
-        for a, b in combinations(masks, 2)
+        for i, a in enumerate(masks)
+        if a in rows
+        for b in masks[i + 1 :]
         for axiom, name, m in (("C2", "union", a | b), ("C3", "intersection", a & b))
         if m not in present
     )

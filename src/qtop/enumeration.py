@@ -8,14 +8,7 @@ from collections.abc import Iterator
 
 from . import kernel
 from .calculus import QuestionType, classify_question
-from .core import (
-    Frozen,
-    GroundSet,
-    SizeLimitError,
-    Topology,
-    UnknownLabelError,
-    _set,
-)
+from .core import Frozen, GroundSet, SizeLimitError, Topology, UnknownLabelError
 
 ENUMERATION_LIMIT = kernel.MAX_N
 
@@ -39,18 +32,6 @@ class EnumerationReport(Frozen):
     """
 
     __slots__ = _fields = ("n", "count", "census", "self_dual_count")
-
-    def __init__(
-        self,
-        n: int,
-        count: int,
-        census: dict[str, dict[str, int]],
-        self_dual_count: int,
-    ) -> None:
-        _set(self, "n", n)
-        _set(self, "count", count)
-        _set(self, "census", census)
-        _set(self, "self_dual_count", self_dual_count)
 
 
 def enumerate_topologies(ground: GroundSet) -> Iterator[Topology]:

@@ -9,25 +9,13 @@ family is a sigma-field.
 
 from __future__ import annotations
 
-from .core import Frozen, SubsetFamily, Topology, _set, is_topology
+from .core import Frozen, SubsetFamily, Topology, is_topology
 
 
 class MachinePair(Frozen):
     """A question, its negation, and the clopen channel between them."""
 
     __slots__ = _fields = ("question", "negation", "shared", "self_dual")
-
-    def __init__(
-        self,
-        question: Topology,
-        negation: Topology,
-        shared: SubsetFamily,
-        self_dual: bool,
-    ) -> None:
-        _set(self, "question", question)
-        _set(self, "negation", negation)
-        _set(self, "shared", shared)
-        _set(self, "self_dual", self_dual)
 
 
 def _complements(f: SubsetFamily) -> tuple[int, ...]:

@@ -70,6 +70,9 @@ def family_opens(f: SubsetFamily) -> list[tuple[str, ...]]:
 
 
 def question_document(ground: GroundSet, family: SubsetFamily) -> str:
+    # Identity first: ``family_document`` passes the family's own ground.
+    if family.ground is not ground and family.ground != ground:
+        raise ValueError("family lies over a different ground set")
     return dumps({"elements": ground.labels, "opens": family_opens(family)})
 
 

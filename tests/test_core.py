@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -306,6 +307,31 @@ class TestIsTopology:
     @given(large_families_on_6_to_16_points())
     def test_report_matches_pairwise_scan_on_large_families(self, fam):
         assert reported(fam) == first_violation(list(fam.masks), fam.ground.full_mask)
+
+    @given(st.one_of(families_on_4_to_8_points(), large_families_on_6_to_16_points()))
+    def test_first_violation_is_in_the_row_of_a_least_member(self, fam):
+        """The first witness of the pairwise scan is the least member that
+        holds one of its points: why ``is_topology`` scans only those rows."""
+        masks = list(fam.masks)
+        found = first_violation(masks, fam.ground.full_mask)
+        if found is not None and found[1]:
+            a = found[1][0]
+            points = [x for x in range(fam.ground.size) if a >> x & 1]
+            assert any(a == next(m for m in masks if m >> x & 1) for x in points)
+
+    def test_failing_family_on_13_points_is_scanned_along_rows(self):
+        """Every subset without the top point, the top point joined with
+        any subset that meets bit 0 or bit 1, and the full set: 7168
+        opens.  {0, top} and {1, top} meet in {top}, which is missing.
+        A scan over every pair passes 21 million before it reaches
+        that one, which takes seconds."""
+        g = make_ground_set(LETTERS[:13])
+        top = 1 << 12
+        fam = SubsetFamily((*range(top), *(top | s for s in range(top) if s & 3)), g)
+        assert len(fam) == 7168
+        start = time.perf_counter()
+        assert reported(fam) == ("C3", (top + 1, top + 2))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMakeTopology:

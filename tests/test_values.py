@@ -34,6 +34,7 @@ from qtop import (
     make_machine_pair,
     resolve_sequence,
 )
+from qtop.core import Frozen
 from qtop.wire import family_document
 
 
@@ -236,6 +237,45 @@ def test_defaults():
     outcome = ResolutionOutcome(QuestionType.TYPE_II, SubsetFamily((0,), g))
     assert outcome.carrier is None
     assert outcome == classify_question(t_ab(), "a")
+
+
+RECORDS = [
+    "AxiomViolation",
+    "EnumerationReport",
+    "MachinePair",
+    "ResolutionOutcome",
+    "ResolutionStep",
+]
+
+
+# What a ``def`` with the fields as parameters would refuse.
+BAD_CALLS = {
+    "too_many": lambda cls, fields, args: cls(*args, None),
+    "unknown_keyword": lambda cls, fields, args: cls(*args, other=None),
+    "given_twice": lambda cls, fields, args: cls(*args, **{fields[0]: args[0]}),
+    "missing": lambda cls, fields, args: cls(**dict(zip(fields[1:], args[1:]))),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_built_by_frozen(name):
+    """The plain records have no constructor of their own: ``Frozen``
+    binds positional and keyword arguments to ``_fields``."""
+    build, _, fields = VALUES[name]
+    obj = build()
+    cls, args = type(obj), [getattr(obj, f) for f in fields]
+    assert "__init__" not in vars(cls) and cls.__init__ is Frozen.__init__
+    assert cls(*args[:1], **dict(zip(fields[1:], args[1:]))) == obj
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CALLS))
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_what_a_def_would(name, case):
+    build, _, fields = VALUES[name]
+    obj = build()
+    args = [getattr(obj, f) for f in fields]
+    with pytest.raises(TypeError, match=name):
+        BAD_CALLS[case](type(obj), fields, args)
 
 
 def test_cli_imports_no_dataclasses_inspect_or_typing():

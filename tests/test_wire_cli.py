@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qtop import DocumentError, cli, parse_question
+from qtop import DocumentError, SubsetFamily, cli, make_ground_set, parse_question
 from qtop.cli import main
 from qtop.wire import question_document
 
@@ -109,6 +109,16 @@ class TestParseQuestion:
         assert canonical == '{"elements":["m","s"],"opens":[[],["m"],["m","s"]]}'
         ground2, family2 = parse_question(canonical)
         assert question_document(ground2, family2) == canonical
+
+    def test_question_document_refuses_a_family_over_another_ground(self):
+        """Its labels would not be the document's elements, so
+        ``parse_question`` would reject what it wrote."""
+        family = SubsetFamily((0, 1, 3), make_ground_set("ab"))
+        with pytest.raises(ValueError, match="family lies over a different ground set"):
+            question_document(make_ground_set("xyz"), family)
+        text = question_document(make_ground_set("ab"), family)
+        assert text == '{"elements":["a","b"],"opens":[[],["a"],["a","b"]]}'
+        assert parse_question(text) == (family.ground, family)
 
 
 class TestCliCommands:
