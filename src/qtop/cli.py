@@ -193,38 +193,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qtop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Arguments shared by several subcommands, each declared once.
+    file = argparse.ArgumentParser(add_help=False)
+    file.add_argument("file")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--point", required=True)
 
-    def add(name, func, help):
-        p = sub.add_parser(name, help=help)
+    def add(name, func, help, *shared):
+        p = sub.add_parser(name, help=help, parents=shared)
         p.set_defaults(func=func)
         return p
 
-    p = add("validate", cmd_validate, "check the topology axioms of a document")
-    p.add_argument("file")
+    add("validate", cmd_validate, "check the topology axioms of a document", file)
+    add("classify", cmd_classify, "three-way classification of a question", file, point)
+    add("resolve", cmd_resolve, "raw elimination family T - N(x)", file, point)
 
-    p = add("classify", cmd_classify, "three-way classification of a question")
-    p.add_argument("file")
-    p.add_argument("--point", required=True)
-
-    p = add("resolve", cmd_resolve, "raw elimination family T - N(x)")
-    p.add_argument("file")
-    p.add_argument("--point", required=True)
-
-    p = add("sequence", cmd_sequence, "iterated elimination chain")
-    p.add_argument("file")
+    p = add("sequence", cmd_sequence, "iterated elimination chain", file)
     p.add_argument("--points", required=True, metavar="L1,L2,...")
 
-    p = add("negate", cmd_negate, "negation question document")
-    p.add_argument("file")
-
-    p = add("clopen", cmd_clopen, "clopen family of a question")
-    p.add_argument("file")
-
-    p = add("agree", cmd_agree, "machine/anti-machine agreement and sigma-field verdict")
-    p.add_argument("file")
-
-    p = add("sigma", cmd_sigma, "sigma-field predicate on the raw family")
-    p.add_argument("file")
+    add("negate", cmd_negate, "negation question document", file)
+    add("clopen", cmd_clopen, "clopen family of a question", file)
+    add("agree", cmd_agree, "machine/anti-machine agreement and sigma-field verdict", file)
+    add("sigma", cmd_sigma, "sigma-field predicate on the raw family", file)
 
     p = add("enumerate", cmd_enumerate, "stream all questions on n points")
     p.add_argument("--n", type=_non_negative, required=True)
@@ -233,19 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--count-only", action="store_true")
     report.add_argument("--census", action="store_true")
 
+    # Its own --point: the usage line reads ``--n N --point POINT``.
     p = add("definite", cmd_definite, "questions with a definite answer for a point")
     p.add_argument("--n", type=_non_negative, required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--labels", metavar="L1,L2,...")
 
-    p = add("parents", cmd_parents, "questions on a superset containing this one")
-    p.add_argument("file")
+    p = add("parents", cmd_parents, "questions on a superset containing this one", file)
     p.add_argument("--superset", required=True, metavar="L1,L2,...")
     p.add_argument("--limit", type=_non_negative)
 
-    p = add("efficiency", cmd_efficiency, "assertions eliminated by one resolution")
-    p.add_argument("file")
-    p.add_argument("--point", required=True)
+    add("efficiency", cmd_efficiency, "assertions eliminated by one resolution", file, point)
 
     return parser
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qtop import DocumentError, SubsetFamily, cli, make_ground_set, parse_question
+from qtop import DocumentError, cli, parse_question
 from qtop.cli import main
 from qtop.wire import question_document
 
@@ -17,6 +17,12 @@ T_X_DOC = json.dumps(
         "elements": ["m", "s", "e"],
         "opens": [[], ["m"], ["m", "s"], ["m", "e"], ["m", "s", "e"]],
     }
+)
+
+
+# The first opens list is a topology on {a,b} other than the second.
+REPEATED_OPENS_DOC = (
+    '{"elements":["a","b"],"opens":[[],["a"],["a","b"]],"opens":[[],["a","b"]]}'
 )
 
 
@@ -77,6 +83,17 @@ class TestParseQuestion:
             ('{"elements":"ms","opens":[]}', "field 'elements' must be a list"),
             ('{"elements":[],"opens":{}}', "field 'opens' must be a list"),
             ('{"elements":["m"],"opens":[[],"m"]}', "opens[1]: must be a list of labels"),
+            # ``json.loads`` alone would keep the last copy of a field.
+            (REPEATED_OPENS_DOC, "duplicate field: opens"),
+            (
+                '{"elements":["a"],"opens":[[],["a"]],"elements":["b"]}',
+                "duplicate field: elements",
+            ),
+            # The first key that repeats is named, not the first key.
+            (
+                '{"opens":[],"elements":[],"elements":[],"opens":[]}',
+                "duplicate field: elements",
+            ),
         ],
     )
     def test_shape_error_message(self, text, message, tmp_path, capsys):
@@ -105,20 +122,10 @@ class TestParseQuestion:
     def test_round_trip_is_canonicalization(self):
         text = '{"elements":["m","s"],"opens":[["s","m"],["m"],[],["m"]]}'
         ground, family = parse_question(text)
-        canonical = question_document(ground, family)
+        canonical = question_document(family)
         assert canonical == '{"elements":["m","s"],"opens":[[],["m"],["m","s"]]}'
         ground2, family2 = parse_question(canonical)
-        assert question_document(ground2, family2) == canonical
-
-    def test_question_document_refuses_a_family_over_another_ground(self):
-        """Its labels would not be the document's elements, so
-        ``parse_question`` would reject what it wrote."""
-        family = SubsetFamily((0, 1, 3), make_ground_set("ab"))
-        with pytest.raises(ValueError, match="family lies over a different ground set"):
-            question_document(make_ground_set("xyz"), family)
-        text = question_document(make_ground_set("ab"), family)
-        assert text == '{"elements":["a","b"],"opens":[[],["a"],["a","b"]]}'
-        assert parse_question(text) == (family.ground, family)
+        assert question_document(family2) == canonical
 
 
 class TestCliCommands:
@@ -356,6 +363,45 @@ class TestCliExitCodes:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
+        "command, usage, required",
+        [
+            ("validate", "[-h] file", "file"),
+            ("classify", "[-h] --point POINT file", "file, --point"),
+            ("resolve", "[-h] --point POINT file", "file, --point"),
+            ("sequence", "[-h] --points L1,L2,... file", "file, --points"),
+            ("negate", "[-h] file", "file"),
+            ("clopen", "[-h] file", "file"),
+            ("agree", "[-h] file", "file"),
+            ("sigma", "[-h] file", "file"),
+            (
+                "enumerate",
+                "[-h] --n N [--labels L1,L2,...]\n"
+                "                      [--count-only | --census]",
+                "--n",
+            ),
+            ("definite", "[-h] --n N --point POINT [--labels L1,L2,...]", "--n, --point"),
+            (
+                "parents",
+                "[-h] --superset L1,L2,... [--limit LIMIT] file",
+                "file, --superset",
+            ),
+            ("efficiency", "[-h] --point POINT file", "file, --point"),
+        ],
+    )
+    def test_bare_subcommand_prints_usage_and_what_is_required(
+        self, command, usage, required, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "",
+            f"usage: qtop {command} {usage}\n"
+            f"qtop {command}: error: the following arguments are required: {required}\n",
+        )
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["enumerate", "--n", "-1"],
@@ -373,6 +419,12 @@ class TestCliExitCodes:
         assert captured.out == ""
         raw = argv[argv.index("--limit" if "--limit" in argv else "--n") + 1]
         assert f"must be a non-negative integer, got {raw!r}" in captured.err
+
+    def test_repeated_field_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        path.write_text(REPEATED_OPENS_DOC)
+        assert main(["negate", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: duplicate field: opens\n")
 
     def test_non_utf8_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
