@@ -41,8 +41,8 @@ class ResolutionStep(Frozen):
 def open_sets_containing(t: Topology, x: str) -> SubsetFamily:
     """The open members of the neighborhood system of ``x``."""
     bit = 1 << t.ground.index(x)
-    # A filter of an ascending tuple is ascending: no re-sort needed.
-    return SubsetFamily(tuple(m for m in t.masks if m & bit), t.ground)
+    # A filter of an ascending tuple is ascending: nothing to check.
+    return SubsetFamily._trusted(tuple(m for m in t.masks if m & bit), t.ground)
 
 
 def neighborhood_system(t: Topology, x: str) -> SubsetFamily:
@@ -60,7 +60,7 @@ def neighborhood_system(t: Topology, x: str) -> SubsetFamily:
         if sub == 0:
             break
         sub = (sub - 1) & rest
-    return SubsetFamily(tuple(reversed(found)), t.ground)
+    return SubsetFamily._trusted(tuple(reversed(found)), t.ground)
 
 
 def resolve_issue(t: Topology, x: str) -> SubsetFamily:
@@ -70,9 +70,9 @@ def resolve_issue(t: Topology, x: str) -> SubsetFamily:
     was irrelevant to this space).
     """
     if x not in t.ground:
-        return SubsetFamily((), t.ground)
+        return SubsetFamily._trusted((), t.ground)
     bit = 1 << t.ground.index(x)
-    return SubsetFamily(tuple(m for m in t.masks if not m & bit), t.ground)
+    return SubsetFamily._trusted(tuple(m for m in t.masks if not m & bit), t.ground)
 
 
 def classify_question(t: Topology, x: str) -> ResolutionOutcome:

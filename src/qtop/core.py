@@ -252,6 +252,16 @@ class SubsetFamily(Frozen):
         _set(self, "ground", ground)
 
     @classmethod
+    def _trusted(cls, masks: tuple[int, ...], ground: GroundSet) -> "SubsetFamily":
+        """A ``cls`` on ``masks`` without the constructor's checks, for
+        masks the code built itself.  The caller guarantees a tuple that
+        is strictly ascending and within ``ground``'s width."""
+        family = object.__new__(cls)
+        _set(family, "masks", masks)
+        _set(family, "ground", ground)
+        return family
+
+    @classmethod
     def of(cls, subsets: Iterable[Subset], ground: GroundSet) -> "SubsetFamily":
         subsets = tuple(subsets)
         if any(s.ground != ground for s in subsets):
@@ -359,8 +369,10 @@ class Topology(SubsetFamily):
     answers.  Equal only to another ``Topology`` with the same masks.
 
     The direct constructor checks only the canonical form; ``make_topology``
-    validates the axioms.  Results of negation and subspace restriction
-    are topologies by construction and skip the axiom check.
+    validates the axioms.  Results the code builds itself (the kernel's
+    searches, negation, the discrete topology, a family that passed
+    ``is_topology``) are canonical topologies by construction and skip
+    both checks.
     """
 
     __slots__ = ()
@@ -368,14 +380,15 @@ class Topology(SubsetFamily):
     @property
     def family(self) -> SubsetFamily:
         """The same masks and ground as a plain ``SubsetFamily``."""
-        return SubsetFamily(self.masks, self.ground)
+        return SubsetFamily._trusted(self.masks, self.ground)
 
     @classmethod
     def discrete(cls, ground: GroundSet) -> "Topology":
-        return cls(tuple(range(ground.full_mask + 1)), ground)
+        return cls._trusted(tuple(range(ground.full_mask + 1)), ground)
 
     @classmethod
     def indiscrete(cls, ground: GroundSet) -> "Topology":
+        # On the empty ground the two masks coincide: from_masks dedupes.
         return cls.from_masks({0, ground.full_mask}, ground)
 
 
@@ -384,7 +397,7 @@ def make_topology(family: SubsetFamily) -> Topology:
     if not ok:
         assert violation is not None
         raise TopologyError(violation)
-    return Topology(family.masks, family.ground)
+    return Topology._trusted(family.masks, family.ground)
 
 
 def minimal_opens(masks: tuple[int, ...], n: int) -> list[int]:

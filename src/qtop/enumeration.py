@@ -38,9 +38,9 @@ def enumerate_topologies(ground: GroundSet) -> Iterator[Topology]:
     """Every topology on ``ground`` exactly once, in ascending canonical
     order of the family encoding."""
     _check_size(ground.size)
-    # Kernel tuples are strictly ascending and in range: no re-sort.
+    # Kernel tuples are strictly ascending and in range: no checks.
     for masks in kernel.topology_masks(ground.size):
-        yield Topology(masks, ground)
+        yield Topology._trusted(masks, ground)
 
 
 def count_topologies(n: int) -> int:
@@ -107,7 +107,7 @@ def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
     _check_size(ground.size)
     forbidden = _lacking(ground, 1 << ground.index(x))
     for masks in kernel.topology_masks(ground.size, forbidden=forbidden):
-        yield Topology(masks, ground)
+        yield Topology._trusted(masks, ground)
 
 
 def elimination_efficiency(t: Topology, x: str) -> int:
@@ -137,7 +137,7 @@ def parent_questions(
         1 << superset_ground.mask_of(t.ground.labels_of(m)) for m in t.masks
     )
     found = (
-        Topology(masks, superset_ground)
+        Topology._trusted(masks, superset_ground)
         for masks in kernel.topology_masks(superset_ground.size, required=required)
     )
     yield from itertools.islice(found, limit)

@@ -1,4 +1,5 @@
 import gc
+import random
 from itertools import combinations
 
 import pytest
@@ -54,6 +55,19 @@ class TestEnumerate:
         assert all(a < b for a, b in zip(masks, masks[1:]))
         assert all(is_topology(t.family)[0] for t in stream)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_streams_equal_their_checked_rebuild(self, n):
+        """The three streams build their topologies without the
+        constructor's checks: each equals its rebuild through it."""
+        g = ground_of(n)
+        streams = [enumerate_topologies(g)]
+        streams += [find_definite_questions(g, x) for x in g.labels]
+        sub = make_ground_set(g.labels[:2])
+        streams += [parent_questions(t, g) for t in enumerate_topologies(sub)]
+        for stream in streams:
+            for t in stream:
+                assert type(t)(t.masks, t.ground) == t
+
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             list(enumerate_topologies(make_ground_set(list("abcdef"))))
@@ -81,6 +95,39 @@ class TestConstrainedKernel:
                     forbidden |= 1 << m
             expected = [f for f in full if not any((forbidden >> m) & 1 for m in f)]
             assert kernel.topology_masks(n, forbidden=forbidden) == expected
+
+    @pytest.mark.parametrize("n, pairs", [(2, 100), (3, 200), (4, 200), (5, 8)])
+    def test_requiring_and_forbidding_at_once(self, n, pairs):
+        """Seeded ``(required, forbidden)`` bitsets over every mask value,
+        the empty and the full mask's bits included, and three chosen
+        pairs: both constraints on every end, a required mask that is
+        forbidden, and two required masks whose union is forbidden."""
+        full = (1 << n) - 1
+        stream = kernel.topology_masks(n)
+        stream_bits = [sum(1 << m for m in f) for f in stream]
+        ends = 1 | 1 << full
+        rng = random.Random(n)
+        cases = [
+            (ends, ends),
+            (1 << 1, 1 << 1),
+            (1 << 1 | 1 << 2, 1 << 3 if n > 2 else 0),
+        ]
+        for _ in range(pairs):
+            sparse = [rng.getrandbits(full + 1) for _ in range(5)]
+            cases.append((sparse[0] & sparse[1] & sparse[2], sparse[3] & sparse[4]))
+        found = 0
+        for required, forbidden in cases:
+            inner_required = required & ~ends
+            expected = [
+                f
+                for f, bits in zip(stream, stream_bits)
+                if bits & inner_required == inner_required and not bits & forbidden & ~ends
+            ]
+            assert kernel.topology_masks(n, required, forbidden) == expected
+            found += bool(expected)
+        assert kernel.topology_masks(n, ends, ends) == stream
+        assert kernel.topology_masks(n, 1 << 1, 1 << 1) == []
+        assert found > len(cases) // 4
 
     @pytest.mark.parametrize("n", [-1, 6])
     def test_size_outside_the_kernel_range(self, n):
@@ -194,6 +241,8 @@ class TestEnumerationReport:
             monkeypatch.setattr(module, "classify_question", refuse)
         monkeypatch.setattr(qtop.negation, "negation_question", refuse)
         monkeypatch.setattr(qtop.core.SubsetFamily, "__init__", refuse)
+        # The one unchecked builder, a classmethod: Topology finds it here.
+        monkeypatch.setattr(qtop.core.SubsetFamily, "_trusted", classmethod(refuse))
         report = enumeration_report(ground_of(4))
         assert report.count == KNOWN_COUNTS[4]
 

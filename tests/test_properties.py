@@ -19,15 +19,19 @@ from hypothesis import given, settings, strategies as st
 from qtop import (
     QuestionType,
     SubsetFamily,
+    Topology,
     UnknownLabelError,
     classify_question,
+    clopen_sets,
     generated_topology,
     is_sigma_field,
     is_topology,
     machines_agree,
     make_ground_set,
+    make_topology,
     negation_question,
     neighborhood_system,
+    open_sets_containing,
     parse_question,
     resolve_issue,
     resolve_sequence,
@@ -200,6 +204,25 @@ def test_neighborhood_base_is_the_minimal_open(tx):
     t, x = tx
     u = minimal_opens(t.masks, t.ground.size)[t.ground.index(x)]
     assert neighborhood_system(t, x).masks[0] == u
+
+
+@given(topology_points())
+def test_unchecked_results_equal_their_checked_rebuild(tx):
+    """Each result built without the constructor's checks is canonical:
+    rebuilt through the checking constructor, it is the same value."""
+    t, x = tx
+    for r in (
+        negation_question(t),
+        clopen_sets(t),
+        open_sets_containing(t, x),
+        resolve_issue(t, x),
+        resolve_issue(t, "?"),
+        neighborhood_system(t, x),
+        make_topology(t.family),
+        t.family,
+        Topology.discrete(t.ground),
+    ):
+        assert type(r)(r.masks, r.ground) == r
 
 
 @given(family_pairs())
