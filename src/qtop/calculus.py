@@ -99,7 +99,7 @@ def subspace_topology(t: Topology, a: Subset) -> Topology:
         raise ValueError("carrier lies over a different ground set")
     sub_ground = GroundSet(a.labels())
     repacked = {sub_ground.mask_of(t.ground.labels_of(m & a.mask)) for m in t.masks}
-    return Topology.from_masks(repacked, sub_ground)
+    return Topology._trusted(tuple(sorted(repacked)), sub_ground)
 
 
 def resolve_sequence(t: Topology, order: list[str]) -> list[ResolutionStep]:

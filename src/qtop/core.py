@@ -85,7 +85,12 @@ class Frozen:
 
 
 class GroundSet(Frozen):
-    """Ordered finite set of irreducible assertions; order fixes bit indices."""
+    """Ordered finite set of irreducible assertions; order fixes bit indices.
+
+    The constructor checks everything a ground set promises: a tuple of
+    at most ``MAX_GROUND_SIZE`` distinct, non-empty text labels.  Every
+    public constructor in this module checks its type's promises; only
+    results the code builds itself skip them, through ``_trusted``."""
 
     __slots__ = ("labels", "_bits", "_low", "_high")
     _fields = ("labels",)
@@ -93,8 +98,19 @@ class GroundSet(Frozen):
     def __init__(self, labels: tuple[str, ...]) -> None:
         if not isinstance(labels, tuple):
             raise TypeError(f"ground labels must be a tuple, got {type(labels).__name__}")
+        if len(labels) > MAX_GROUND_SIZE:
+            raise GroundSetError(
+                f"too many elements: {len(labels)} (limit {MAX_GROUND_SIZE})"
+            )
+        bits: dict[str, int] = {}
+        for label in labels:
+            if not isinstance(label, str) or not label:
+                raise GroundSetError(f"empty or non-text label: {label!r}")
+            if label in bits:
+                raise GroundSetError(f"duplicate label: {label!r}")
+            bits[label] = 1 << len(bits)
         _set(self, "labels", labels)
-        _set(self, "_bits", {l: 1 << i for i, l in enumerate(labels)})
+        _set(self, "_bits", bits)
         # The labels of each byte value: the low byte's from labels[:8],
         # the high byte's from labels[8:] (just [()] on 8 points or fewer).
         _set(self, "_low", _byte_table(labels[:8]))
@@ -160,19 +176,10 @@ def _byte_table(labels: tuple[str, ...]) -> list[tuple[str, ...]]:
 
 
 def make_ground_set(labels: Iterable[str]) -> GroundSet:
-    labels = tuple(labels)
-    if len(labels) > MAX_GROUND_SIZE:
-        raise GroundSetError(
-            f"too many elements: {len(labels)} (limit {MAX_GROUND_SIZE})"
-        )
-    seen = set()
-    for label in labels:
-        if not isinstance(label, str) or not label:
-            raise GroundSetError(f"empty or non-text label: {label!r}")
-        if label in seen:
-            raise GroundSetError(f"duplicate label: {label!r}")
-        seen.add(label)
-    return GroundSet(labels)
+    """A ``GroundSet`` on any iterable of labels.  The checks are the
+    constructor's, as for every public way in: only results the code
+    builds itself skip them."""
+    return GroundSet(tuple(labels))
 
 
 def _outside_width(mask: int, ground: GroundSet) -> ValueError:
@@ -253,9 +260,11 @@ class SubsetFamily(Frozen):
 
     @classmethod
     def _trusted(cls, masks: tuple[int, ...], ground: GroundSet) -> "SubsetFamily":
-        """A ``cls`` on ``masks`` without the constructor's checks, for
-        masks the code built itself.  The caller guarantees a tuple that
-        is strictly ascending and within ``ground``'s width."""
+        """A ``cls`` on ``masks`` without the constructor's checks: the
+        one way in that skips them, for results the code built itself.
+        The caller guarantees what ``cls`` promises: a tuple that is
+        strictly ascending and within ``ground``'s width, and for a
+        ``Topology`` also C1-C3."""
         family = object.__new__(cls)
         _set(family, "masks", masks)
         _set(family, "ground", ground)
@@ -368,14 +377,17 @@ class Topology(SubsetFamily):
     """A subset family that satisfied C1-C3: a question, its opens the
     answers.  Equal only to another ``Topology`` with the same masks.
 
-    The direct constructor checks only the canonical form; ``make_topology``
-    validates the axioms.  Results the code builds itself (the kernel's
-    searches, negation, the discrete topology, a family that passed
-    ``is_topology``) are canonical topologies by construction and skip
-    both checks.
+    Like every public constructor, this one (and so ``from_masks`` and
+    ``of``) checks all its type promises: the canonical form, then the
+    axioms, raising ``make_topology``'s ``TopologyError``.  Only results
+    the code builds itself skip the checks, through ``_trusted``.
     """
 
     __slots__ = ()
+
+    def __init__(self, masks: tuple[int, ...], ground: GroundSet) -> None:
+        super().__init__(masks, ground)
+        make_topology(self)  # the axiom check and its one raise
 
     @property
     def family(self) -> SubsetFamily:
@@ -388,11 +400,13 @@ class Topology(SubsetFamily):
 
     @classmethod
     def indiscrete(cls, ground: GroundSet) -> "Topology":
-        # On the empty ground the two masks coincide: from_masks dedupes.
-        return cls.from_masks({0, ground.full_mask}, ground)
+        # On the empty ground the two masks coincide: the set dedupes.
+        return cls._trusted(tuple(sorted({0, ground.full_mask})), ground)
 
 
 def make_topology(family: SubsetFamily) -> Topology:
+    """``family`` as a ``Topology`` if it satisfies C1-C3; otherwise the
+    ``TopologyError`` of its first violation, raised here alone."""
     ok, violation = is_topology(family)
     if not ok:
         assert violation is not None
@@ -428,7 +442,7 @@ def generated_topology(family: SubsetFamily) -> Topology:
     # never stops the closure early.
     ground = family.ground
     opens = _union_closure(minimal_opens(family.masks, ground.size), ground.full_mask + 1)
-    return Topology.from_masks(opens, ground)
+    return Topology._trusted(tuple(sorted(opens)), ground)
 
 
 def _union_closure(generators: Iterable[int], cap: int) -> set[int]:

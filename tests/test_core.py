@@ -12,11 +12,18 @@ from qtop import (
     Topology,
     TopologyError,
     complement,
+    enumerate_topologies,
+    find_definite_questions,
     generated_topology,
     is_sigma_field,
     is_topology,
     make_ground_set,
+    make_machine_pair,
     make_topology,
+    negation_question,
+    parent_questions,
+    resolve_sequence,
+    subspace_topology,
 )
 
 from qtop.core import minimal_opens
@@ -347,6 +354,92 @@ class TestMakeTopology:
         with pytest.raises(TopologyError) as exc:
             make_topology(SubsetFamily.from_masks([1, 2], ms_ground))
         assert exc.value.violation.axiom == "C1"
+
+
+# The public ways to build a topology from masks: the constructor,
+# from_masks and of, each fed the family's members in a different shape.
+PUBLIC_TOPOLOGY_DOORS = (
+    lambda fam: Topology(fam.masks, fam.ground),
+    lambda fam: Topology.from_masks(reversed(fam.masks), fam.ground),
+    lambda fam: Topology.of(list(fam), fam.ground),
+)
+
+
+def assert_checked_like_make_topology(fam: SubsetFamily) -> None:
+    """Every public door refuses ``fam`` with ``is_topology``'s violation
+    exactly when that check fails, and otherwise builds what
+    ``make_topology`` builds."""
+    ok, violation = is_topology(fam)
+    for build in PUBLIC_TOPOLOGY_DOORS:
+        if ok:
+            assert build(fam) == make_topology(fam)
+        else:
+            with pytest.raises(TopologyError) as exc:
+                build(fam)
+            assert exc.value.violation == violation
+
+
+class TestConstructionRule:
+    """Every public constructor checks what its type promises; only the
+    code's own results skip the checks."""
+
+    def test_topology_doors_check_every_family_on_3_points(self):
+        g = ground_of(3)
+        families = list(every_family(3))
+        assert len(families) == 256
+        for masks in families:
+            assert_checked_like_make_topology(SubsetFamily.from_masks(masks, g))
+
+    @given(families_on_4_to_8_points())
+    def test_topology_doors_check_families_on_larger_grounds(self, fam):
+        assert_checked_like_make_topology(fam)
+
+    def test_family_without_empty_or_full_set_is_no_topology(self):
+        """{a}, {b} on {a, b, c} lacks the empty and the full set (C1),
+        so no ``classify_question`` can answer for it."""
+        abc = make_ground_set("abc")
+        with pytest.raises(TopologyError) as exc:
+            Topology.from_masks([1, 2], abc)
+        assert exc.value.violation == is_topology(SubsetFamily((1, 2), abc))[1]
+        assert str(exc.value) == "C1 violated: the empty set is missing"
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            pytest.param(("a", "a"), id="duplicate"),
+            pytest.param(("a", ""), id="empty"),
+            pytest.param(("a", 1), id="non-text"),
+            pytest.param(tuple(f"x{i}" for i in range(17)), id="17-labels"),
+        ],
+    )
+    def test_ground_set_refuses_what_make_ground_set_refuses(self, labels):
+        with pytest.raises(GroundSetError) as expected:
+            make_ground_set(labels)
+        with pytest.raises(GroundSetError) as exc:
+            GroundSet(labels)
+        assert str(exc.value) == str(expected.value)
+
+    def test_own_results_never_run_the_axiom_check(self, monkeypatch, t_x, mse_ground):
+        """With ``is_topology`` refusing every call, every producer of a
+        topology still returns: none goes through a checked door."""
+        g3 = ground_of(3)
+        on_two = make_topology(SubsetFamily.from_masks([0, 1, 3], ground_of(2)))
+        generators = SubsetFamily.from_masks([1, 6], mse_ground)
+
+        def refuse(family):
+            raise AssertionError("the axiom check ran on the code's own result")
+
+        monkeypatch.setattr("qtop.core.is_topology", refuse)
+        assert len(list(enumerate_topologies(g3))) == 29
+        assert len(list(find_definite_questions(g3, "a"))) == 7
+        assert len(list(parent_questions(on_two, g3))) > 0
+        assert negation_question(t_x).masks == (0, 2, 4, 6, 7)
+        assert generated_topology(generators).masks == (0, 1, 6, 7)
+        assert subspace_topology(t_x, mse_ground.subset("ms")).masks == (0, 1, 3)
+        assert len(resolve_sequence(t_x, ["e", "s"])) == 2
+        assert len(Topology.discrete(g3)) == 8
+        assert Topology.indiscrete(g3).masks == (0, 7)
+        assert make_machine_pair(t_x).negation == negation_question(t_x)
 
 
 class TestMinimalOpens:
