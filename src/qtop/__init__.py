@@ -19,7 +19,6 @@ from .core import (
     Topology,
     TopologyError,
     UnknownLabelError,
-    complement,
     generated_topology,
     is_topology,
     make_ground_set,
@@ -75,7 +74,6 @@ __all__ = [
     "Topology",
     "TopologyError",
     "UnknownLabelError",
-    "complement",
     "generated_topology",
     "is_topology",
     "make_ground_set",

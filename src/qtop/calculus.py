@@ -40,7 +40,7 @@ class ResolutionStep(Frozen):
 
 def open_sets_containing(t: Topology, x: str) -> SubsetFamily:
     """The open members of the neighborhood system of ``x``."""
-    bit = 1 << t.ground.index(x)
+    bit = t.ground.mask_of((x,))
     # A filter of an ascending tuple is ascending: nothing to check.
     return SubsetFamily._trusted(tuple(m for m in t.masks if m & bit), t.ground)
 
@@ -71,7 +71,7 @@ def resolve_issue(t: Topology, x: str) -> SubsetFamily:
     """
     if x not in t.ground:
         return SubsetFamily._trusted((), t.ground)
-    bit = 1 << t.ground.index(x)
+    bit = t.ground.mask_of((x,))
     return SubsetFamily._trusted(tuple(m for m in t.masks if not m & bit), t.ground)
 
 

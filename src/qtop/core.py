@@ -3,14 +3,15 @@
 Every set of assertions is a bitmask over a fixed, ordered ground set:
 label i is bit i, and ``GroundSet.mask_of`` and ``labels_of`` translate
 between the two.  All values are immutable.  A family is its ascending
-tuple of masks, so equality is structural; ``Subset`` objects are made
-only at the API edge.
+tuple of masks, so equality is structural, and all set algebra is done
+on the masks.  A ``Subset`` is only an edge value: a type-1 carrier, a
+subspace's points, or an axiom-violation witness.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 MAX_GROUND_SIZE = 16
 
@@ -127,12 +128,6 @@ class GroundSet(Frozen):
     def __contains__(self, label: str) -> bool:
         return isinstance(label, str) and label in self._bits
 
-    def index(self, label: str) -> int:
-        try:
-            return self._bits[label].bit_length() - 1
-        except (KeyError, TypeError):
-            raise self._unknown(label) from None
-
     def mask_of(self, labels: Iterable[str]) -> int:
         bits = self._bits
         labels = iter(labels)  # a non-iterable raises here, not as a label
@@ -156,15 +151,6 @@ class GroundSet(Frozen):
             f"label {label!r} is not in ground set {list(self.labels)}"
         )
 
-    def subset(self, labels: Iterable[str] = ()) -> "Subset":
-        return Subset(self.mask_of(labels), self)
-
-    def empty(self) -> "Subset":
-        return Subset(0, self)
-
-    def full(self) -> "Subset":
-        return Subset(self.full_mask, self)
-
 
 def _byte_table(labels: tuple[str, ...]) -> list[tuple[str, ...]]:
     """For at most 8 labels: entry m holds the labels of m's set bits, in
@@ -187,7 +173,8 @@ def _outside_width(mask: int, ground: GroundSet) -> ValueError:
 
 
 class Subset(Frozen):
-    """One subset of a ground set, encoded as a bitmask of its width."""
+    """One subset of a ground set, encoded as a bitmask of its width:
+    an edge value that names its labels and prints them."""
 
     __slots__ = _fields = ("mask", "ground")
 
@@ -200,50 +187,16 @@ class Subset(Frozen):
     def labels(self) -> tuple[str, ...]:
         return self.ground.labels_of(self.mask)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self.ground and (self.mask >> self.ground.index(label)) & 1 == 1
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __or__(self, other: "Subset") -> "Subset":
-        self._check_ground(other)
-        return Subset(self.mask | other.mask, self.ground)
-
-    def __and__(self, other: "Subset") -> "Subset":
-        self._check_ground(other)
-        return Subset(self.mask & other.mask, self.ground)
-
-    def __sub__(self, other: "Subset") -> "Subset":
-        self._check_ground(other)
-        return Subset(self.mask & ~other.mask, self.ground)
-
-    def __le__(self, other: "Subset") -> bool:
-        self._check_ground(other)
-        return self.mask & ~other.mask == 0
-
-    def complement(self) -> "Subset":
-        return Subset(self.ground.full_mask & ~self.mask, self.ground)
-
-    def _check_ground(self, other: "Subset") -> None:
-        if other.ground != self.ground:
-            raise ValueError("subsets lie over different ground sets")
-
     def __repr__(self) -> str:
         return f"Subset({{{','.join(self.labels())}}})"
 
 
-def complement(s: Subset) -> Subset:
-    return s.complement()
-
-
 class SubsetFamily(Frozen):
     """Duplicate-free collection of subsets, stored as the strictly
-    ascending tuple of their masks; ``Subset`` objects are made only when
-    the family is iterated, at the API edge.
+    ascending tuple of their masks.
 
-    The direct constructor demands canonical input; use ``from_masks`` or
-    ``of`` to canonicalize an arbitrary iterable.
+    The direct constructor demands canonical input; use ``from_masks`` to
+    canonicalize an arbitrary iterable of masks.
     """
 
     __slots__ = _fields = ("masks", "ground")
@@ -271,26 +224,11 @@ class SubsetFamily(Frozen):
         return family
 
     @classmethod
-    def of(cls, subsets: Iterable[Subset], ground: GroundSet) -> "SubsetFamily":
-        subsets = tuple(subsets)
-        if any(s.ground != ground for s in subsets):
-            raise ValueError("subsets lie over different ground sets")
-        return cls.from_masks((s.mask for s in subsets), ground)
-
-    @classmethod
     def from_masks(cls, masks: Iterable[int], ground: GroundSet) -> "SubsetFamily":
         return cls(tuple(sorted(set(masks))), ground)
 
-    def __iter__(self) -> Iterator[Subset]:
-        return (Subset(m, self.ground) for m in self.masks)
-
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __contains__(self, s: object) -> bool:
-        return (
-            isinstance(s, Subset) and s.ground == self.ground and s.mask in self.masks
-        )
 
 
 class AxiomViolation(Frozen):
@@ -377,10 +315,10 @@ class Topology(SubsetFamily):
     """A subset family that satisfied C1-C3: a question, its opens the
     answers.  Equal only to another ``Topology`` with the same masks.
 
-    Like every public constructor, this one (and so ``from_masks`` and
-    ``of``) checks all its type promises: the canonical form, then the
-    axioms, raising ``make_topology``'s ``TopologyError``.  Only results
-    the code builds itself skip the checks, through ``_trusted``.
+    Like every public constructor, this one (and so ``from_masks``)
+    checks all its type promises: the canonical form, then the axioms,
+    raising ``make_topology``'s ``TopologyError``.  Only results the code
+    builds itself skip the checks, through ``_trusted``.
     """
 
     __slots__ = ()

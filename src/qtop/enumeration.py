@@ -105,7 +105,7 @@ def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
     """Topologies whose every non-empty open contains ``x``: asking them
     resolves the whole space in one step."""
     _check_size(ground.size)
-    forbidden = _lacking(ground, 1 << ground.index(x))
+    forbidden = _lacking(ground, ground.mask_of((x,)))
     for masks in kernel.topology_masks(ground.size, forbidden=forbidden):
         yield Topology._trusted(masks, ground)
 
@@ -119,7 +119,7 @@ def elimination_efficiency(t: Topology, x: str) -> int:
     if outcome.kind is QuestionType.TYPE_III:
         return 0
     assert outcome.carrier is not None
-    return t.ground.size - len(outcome.carrier)
+    return t.ground.size - outcome.carrier.mask.bit_count()
 
 
 def parent_questions(

@@ -144,8 +144,12 @@ def test_criterion_07_classification_properties():
                     else:
                         carrier = outcome.carrier
                         sub = subspace_topology(t, carrier)
-                        got = {frozenset(s.labels()) for s in outcome.result_family}
-                        assert got == {frozenset(s.labels()) for s in sub}
+                        got = {
+                            frozenset(g.labels_of(m)) for m in outcome.result_family.masks
+                        }
+                        assert got == {
+                            frozenset(sub.ground.labels_of(m)) for m in sub.masks
+                        }
                         ok, _ = is_topology(sub.family)
                         assert ok
                 outside = classify_question(t, "zz")
@@ -177,7 +181,7 @@ def test_criterion_09_hereditary_discreteness():
             for x in g.labels:
                 outcome = classify_question(t, x)
                 assert outcome.kind is QuestionType.TYPE_I
-                assert len(outcome.carrier) == n - 1
+                assert outcome.carrier.mask.bit_count() == n - 1
                 sub = subspace_topology(t, outcome.carrier)
                 assert len(sub) == 1 << (n - 1)  # discrete again
             steps = resolve_sequence(t, list(g.labels))
@@ -186,7 +190,8 @@ def test_criterion_09_hereditary_discreteness():
             assert kinds[n - 1] is QuestionType.TYPE_II
             size = n
             for step in steps[: n - 1]:
-                assert len(step.outcome.carrier) == size - 1  # one assertion per step
+                # One assertion per step.
+                assert step.outcome.carrier.mask.bit_count() == size - 1
                 size -= 1
 
 
@@ -211,7 +216,7 @@ def test_criterion_10_parent_questions():
 
 def check_parents(x_labels, y_ground, y_families):
     x_ground = make_ground_set(x_labels)
-    position = [y_ground.index(l) for l in x_labels]
+    position = [y_ground.labels.index(l) for l in x_labels]
 
     def embed(m):
         out = 0

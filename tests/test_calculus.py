@@ -65,7 +65,7 @@ class TestNeighborhoodSystem:
         g = ground_of(n)
         for t in all_topologies(n):
             for x in g.labels:
-                bit = 1 << g.index(x)
+                bit = g.mask_of((x,))
                 expected = tuple(
                     w
                     for w in range(g.full_mask + 1)
@@ -117,7 +117,7 @@ class TestClassifyQuestion:
         x = ["m"]
         assert x not in t_x.ground
         with pytest.raises(UnknownLabelError):
-            t_x.ground.index(x)
+            t_x.ground.mask_of((x,))
         outcome = classify_question(t_x, x)
         assert outcome.kind is QuestionType.TYPE_III
         assert outcome.result_family.masks == ()
@@ -134,40 +134,43 @@ class TestClassifyQuestion:
                 assert outcome.kind in (QuestionType.TYPE_I, QuestionType.TYPE_II)
                 if outcome.kind is QuestionType.TYPE_II:
                     assert outcome.result_family.masks == (0,)
-                    bit = 1 << g.index(x)
+                    bit = g.mask_of((x,))
                     assert all(m == 0 or m & bit for m in t.masks)
                 else:
                     carrier = outcome.carrier
-                    assert x not in carrier
+                    assert x not in carrier.labels()
                     union = 0
                     for m in outcome.result_family.masks:
                         union |= m
                     assert union == carrier.mask
                     sub = subspace_topology(t, carrier)
                     relabeled = {
-                        frozenset(s.labels()) for s in outcome.result_family
+                        frozenset(g.labels_of(m)) for m in outcome.result_family.masks
                     }
-                    assert {frozenset(s.labels()) for s in sub} == relabeled
+                    assert {
+                        frozenset(sub.ground.labels_of(m)) for m in sub.masks
+                    } == relabeled
 
 
 class TestSubspaceTopology:
     def test_worked_example_carrier(self, t_x, mse_ground):
-        sub = subspace_topology(t_x, mse_ground.subset(["m", "s"]))
+        ms = Subset(mse_ground.mask_of(["m", "s"]), mse_ground)
+        sub = subspace_topology(t_x, ms)
         assert sub.ground.labels == ("m", "s")
         assert sub.masks == (0, 1, 3)
 
     def test_full_carrier_is_identity(self, t_x, mse_ground):
-        sub = subspace_topology(t_x, mse_ground.full())
+        sub = subspace_topology(t_x, Subset(mse_ground.full_mask, mse_ground))
         assert sub.masks == t_x.masks
 
     def test_empty_carrier(self, t_x, mse_ground):
-        sub = subspace_topology(t_x, mse_ground.empty())
+        sub = subspace_topology(t_x, Subset(0, mse_ground))
         assert sub.ground.size == 0
         assert sub.masks == (0,)
 
     def test_carrier_over_another_ground_rejected(self, t_x, ms_ground):
         with pytest.raises(ValueError) as e:
-            subspace_topology(t_x, ms_ground.subset(["m"]))
+            subspace_topology(t_x, Subset(ms_ground.mask_of(["m"]), ms_ground))
         assert str(e.value) == "carrier lies over a different ground set"
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])

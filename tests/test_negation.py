@@ -151,6 +151,9 @@ class TestAtomicMachineCensus:
         census = atomic_machine_census(all_topologies(1))
         assert len(census) == 1 and census[0].self_dual
 
+    def test_no_questions_give_an_empty_census(self):
+        assert atomic_machine_census([]) == []
+
     def test_negation_is_involution_on_question_space(self):
         topologies = all_topologies(3)
         listed = {t.masks for t in topologies}

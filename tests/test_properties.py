@@ -202,7 +202,7 @@ def test_each_step_holds_the_outcome_on_its_subspace(tx, data):
 @given(topology_points(max_n=10))
 def test_neighborhood_base_is_the_minimal_open(tx):
     t, x = tx
-    u = minimal_opens(t.masks, t.ground.size)[t.ground.index(x)]
+    u = minimal_opens(t.masks, t.ground.size)[t.ground.labels.index(x)]
     assert neighborhood_system(t, x).masks[0] == u
 
 
@@ -266,14 +266,15 @@ def test_mask_of_ignores_order_and_duplicates(pair, data):
     ],
 )
 def test_unknown_label_message(labels, bad, text):
-    """``mask_of`` names the first bad label, as ``index`` names it."""
+    """``mask_of`` names the first bad label, and names a lone bad label,
+    as a point lookup ``mask_of((x,))`` meets it, the same way."""
     g = make_ground_set(["a", "b"])
     message = f"label {text} is not in ground set ['a', 'b']"
     with pytest.raises(UnknownLabelError) as exc:
         g.mask_of(labels)
     assert str(exc.value) == message
     with pytest.raises(UnknownLabelError) as exc:
-        g.index(bad)
+        g.mask_of((bad,))
     assert str(exc.value) == message
 
 

@@ -140,6 +140,35 @@ class TestCliCommands:
         assert out["valid"] is False
         assert out["axiom"] == "C1"
 
+    @pytest.mark.parametrize(
+        "elements, opens, out",
+        [
+            pytest.param(
+                ["a", "b", "c"],
+                [[], ["a"], ["b"], ["a", "b", "c"]],
+                '{"valid":false,"axiom":"C2","message":"union of Subset({a}) and '
+                'Subset({b}) is not in the family","witness":[["a"],["b"]]}\n',
+                id="C2",
+            ),
+            pytest.param(
+                ["m", "s", "e"],
+                [[], ["m", "s"], ["s", "e"], ["m", "s", "e"]],
+                '{"valid":false,"axiom":"C3","message":"intersection of Subset({m,s}) '
+                'and Subset({s,e}) is not in the family",'
+                '"witness":[["m","s"],["s","e"]]}\n',
+                id="C3",
+            ),
+        ],
+    )
+    def test_validate_failure_names_its_witnesses(
+        self, elements, opens, out, tmp_path, capsys
+    ):
+        """The message prints each witness's repr, the witness field its
+        labels."""
+        path = write_doc(tmp_path, elements, opens)
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr() == (out, "")
+
     def test_classify_type_one(self, t_x_file, capsys):
         assert main(["classify", t_x_file, "--point", "e"]) == 0
         assert (
@@ -156,9 +185,13 @@ class TestCliCommands:
 
     def test_sequence(self, t_x_file, capsys):
         assert main(["sequence", t_x_file, "--points", "e,s"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
         assert [step["kind"] for step in doc["steps"]] == ["type-1", "type-1"]
         assert doc["steps"][0]["carrier"] == ["m", "s"]
+        # An empty segment names no point.
+        assert main(["sequence", t_x_file, "--points", "e,,s"]) == 0
+        assert capsys.readouterr() == (out, "")
 
     def test_negate(self, tmp_path, capsys):
         path = write_doc(tmp_path, ["m", "s"], [[], ["m"], ["m", "s"]])
@@ -228,6 +261,9 @@ class TestCliCommands:
     def test_efficiency(self, t_x_file, capsys):
         assert main(["efficiency", t_x_file, "--point", "m"]) == 0
         assert capsys.readouterr().out == '{"eliminated":3}\n'
+        # Type-1: the carrier {m,s} is left, so one assertion goes.
+        assert main(["efficiency", t_x_file, "--point", "e"]) == 0
+        assert capsys.readouterr().out == '{"eliminated":1}\n'
 
     def test_output_is_stable_across_runs(self, capsys):
         main(["enumerate", "--n", "3"])
@@ -311,6 +347,10 @@ class TestCliExitCodes:
 
     def test_unknown_point_for_definite_exits_one(self, capsys):
         assert main(["definite", "--n", "2", "--point", "z"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: label 'z' is not in ground set ['x0', 'x1']\n",
+        )
 
     def test_size_limit_exits_one(self, capsys):
         assert main(["enumerate", "--n", "6"]) == 1
