@@ -112,8 +112,7 @@ def resolve_sequence(t: Topology, order: list[str]) -> list[ResolutionStep]:
     for x in order:
         outcome = classify_question(current, x)
         steps.append(ResolutionStep(x, outcome))
-        if outcome.kind is not QuestionType.TYPE_I:
+        if outcome.carrier is None:
             break
-        assert outcome.carrier is not None
         current = subspace_topology(current, outcome.carrier)
     return steps

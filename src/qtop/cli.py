@@ -1,4 +1,6 @@
-"""Command-line surface.  Exit codes: 0 success, 1 domain/validation
+"""Command-line surface.  Each ``cmd_*`` handler maps its parsed
+arguments to the documents it outputs; ``main`` writes them, one
+``print`` each, and owns the exit status: 0 success, 1 domain/validation
 failure, 2 parse/usage error, 141 stdout closed by its reader."""
 
 from __future__ import annotations
@@ -6,12 +8,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 
 from . import __version__
 from .calculus import classify_question, resolve_issue, resolve_sequence
 from .core import (
+    GroundSet,
     GroundSetError,
     SizeLimitError,
+    SubsetFamily,
     Topology,
     TopologyError,
     UnknownLabelError,
@@ -49,9 +54,13 @@ def _read(path: str) -> str:
         raise DocumentError(f"cannot read {path}: not UTF-8 ({e.reason})") from None
 
 
-def _load_topology(path: str) -> Topology:
-    ground, family = parse_question(_read(path))
-    return make_topology(family)
+def _family(args) -> SubsetFamily:
+    """The family of the document ``args.file`` names, axioms unchecked."""
+    return parse_question(_read(args.file))[1]
+
+
+def _topology(args) -> Topology:
+    return make_topology(_family(args))
 
 
 def _non_negative(raw: str) -> int:
@@ -66,26 +75,32 @@ def _non_negative(raw: str) -> int:
 
 
 def _points(raw: str) -> list[str]:
-    return [p for p in raw.split(",") if p]
+    """argparse type of ``--points``, ``--labels`` and ``--superset``:
+    the comma-separated labels, empty segments skipped."""
+    points = [p for p in raw.split(",") if p]
+    if not points:
+        raise argparse.ArgumentTypeError(f"must name at least one label, got {raw!r}")
+    return points
 
 
-def _ground_for(n: int, labels: str | None):
-    _check_size(n)  # before any label is made: n may be huge
-    if labels is not None:
-        names = _points(labels)
-        if len(names) != n:
-            raise GroundSetError(f"--labels names {len(names)} elements, --n is {n}")
-        return make_ground_set(names)
-    return make_ground_set([f"x{i}" for i in range(n)])
+def _ground(args) -> GroundSet:
+    _check_size(args.n)  # before any label is made: n may be huge
+    names = args.labels or [f"x{i}" for i in range(args.n)]
+    if len(names) != args.n:
+        raise GroundSetError(f"--labels names {len(names)} elements, --n is {args.n}")
+    return make_ground_set(names)
 
 
-def cmd_validate(args) -> int:
-    ground, family = parse_question(_read(args.file))
-    ok, violation = is_topology(family)
+class _Invalid(Exception):
+    """``validate``'s verdict on a family that fails an axiom: ``main``
+    writes the document it holds and exits 1."""
+
+
+def cmd_validate(args) -> list[str]:
+    ok, violation = is_topology(_family(args))
     if ok:
-        print(dumps({"valid": True}))
-        return 0
-    print(
+        return [dumps({"valid": True})]
+    raise _Invalid(
         dumps(
             {
                 "valid": False,
@@ -95,61 +110,46 @@ def cmd_validate(args) -> int:
             }
         )
     )
-    return 1
 
 
-def cmd_classify(args) -> int:
-    t = _load_topology(args.file)
-    print(outcome_document(classify_question(t, args.point)))
-    return 0
+def cmd_classify(args) -> list[str]:
+    return [outcome_document(classify_question(_topology(args), args.point))]
 
 
-def cmd_resolve(args) -> int:
-    t = _load_topology(args.file)
-    print(family_document(resolve_issue(t, args.point)))
-    return 0
+def cmd_resolve(args) -> list[str]:
+    return [family_document(resolve_issue(_topology(args), args.point))]
 
 
-def cmd_sequence(args) -> int:
-    t = _load_topology(args.file)
-    print(steps_document(resolve_sequence(t, _points(args.points))))
-    return 0
+def cmd_sequence(args) -> list[str]:
+    return [steps_document(resolve_sequence(_topology(args), args.points))]
 
 
-def cmd_negate(args) -> int:
-    t = _load_topology(args.file)
-    print(family_document(negation_question(t)))
-    return 0
+def cmd_negate(args) -> list[str]:
+    return [family_document(negation_question(_topology(args)))]
 
 
-def cmd_clopen(args) -> int:
-    t = _load_topology(args.file)
-    print(family_document(clopen_sets(t)))
-    return 0
+def cmd_clopen(args) -> list[str]:
+    return [family_document(clopen_sets(_topology(args)))]
 
 
-def cmd_agree(args) -> int:
+def cmd_agree(args) -> list[str]:
     # A validated topology is a sigma-field iff it is closed under
     # complement, which is exactly what machines_agree counts.
-    agree = machines_agree(_load_topology(args.file))
-    print(dumps({"machines_agree": agree, "sigma_field": agree}))
-    return 0
+    agree = machines_agree(_topology(args))
+    return [dumps({"machines_agree": agree, "sigma_field": agree})]
 
 
-def cmd_sigma(args) -> int:
-    ground, family = parse_question(_read(args.file))
-    print(dumps({"sigma_field": is_sigma_field(family)}))
-    return 0
+def cmd_sigma(args) -> list[str]:
+    return [dumps({"sigma_field": is_sigma_field(_family(args))})]
 
 
-def cmd_enumerate(args) -> int:
-    ground = _ground_for(args.n, args.labels)
+def cmd_enumerate(args) -> Iterable[str]:
+    ground = _ground(args)
     if args.count_only:
-        print(dumps({"n": args.n, "count": count_topologies(args.n)}))
-        return 0
+        return [dumps({"n": args.n, "count": count_topologies(args.n)})]
     if args.census:
         report = enumeration_report(ground)
-        print(
+        return [
             dumps(
                 {
                     "n": report.n,
@@ -158,32 +158,22 @@ def cmd_enumerate(args) -> int:
                     "self_dual_count": report.self_dual_count,
                 }
             )
-        )
-        return 0
-    for t in enumerate_topologies(ground):
-        print(family_document(t))
-    return 0
+        ]
+    return map(family_document, enumerate_topologies(ground))
 
 
-def cmd_definite(args) -> int:
-    ground = _ground_for(args.n, args.labels)
-    for t in find_definite_questions(ground, args.point):
-        print(family_document(t))
-    return 0
+def cmd_definite(args) -> Iterable[str]:
+    return map(family_document, find_definite_questions(_ground(args), args.point))
 
 
-def cmd_parents(args) -> int:
-    t = _load_topology(args.file)
-    superset = make_ground_set(_points(args.superset))
-    for parent in parent_questions(t, superset, args.limit):
-        print(family_document(parent))
-    return 0
+def cmd_parents(args) -> Iterable[str]:
+    t = _topology(args)
+    superset = make_ground_set(args.superset)
+    return map(family_document, parent_questions(t, superset, args.limit))
 
 
-def cmd_efficiency(args) -> int:
-    t = _load_topology(args.file)
-    print(dumps({"eliminated": elimination_efficiency(t, args.point)}))
-    return 0
+def cmd_efficiency(args) -> list[str]:
+    return [dumps({"eliminated": elimination_efficiency(_topology(args), args.point)})]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,6 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     file.add_argument("file")
     point = argparse.ArgumentParser(add_help=False)
     point.add_argument("--point", required=True)
+    n = argparse.ArgumentParser(add_help=False)
+    n.add_argument("--n", type=_non_negative, required=True)
 
     def add(name, func, help, *shared):
         p = sub.add_parser(name, help=help, parents=shared)
@@ -209,28 +201,24 @@ def build_parser() -> argparse.ArgumentParser:
     add("resolve", cmd_resolve, "raw elimination family T - N(x)", file, point)
 
     p = add("sequence", cmd_sequence, "iterated elimination chain", file)
-    p.add_argument("--points", required=True, metavar="L1,L2,...")
+    p.add_argument("--points", type=_points, required=True, metavar="L1,L2,...")
 
     add("negate", cmd_negate, "negation question document", file)
     add("clopen", cmd_clopen, "clopen family of a question", file)
     add("agree", cmd_agree, "machine/anti-machine agreement and sigma-field verdict", file)
     add("sigma", cmd_sigma, "sigma-field predicate on the raw family", file)
 
-    p = add("enumerate", cmd_enumerate, "stream all questions on n points")
-    p.add_argument("--n", type=_non_negative, required=True)
-    p.add_argument("--labels", metavar="L1,L2,...")
+    p = add("enumerate", cmd_enumerate, "stream all questions on n points", n)
+    p.add_argument("--labels", type=_points, metavar="L1,L2,...")
     report = p.add_mutually_exclusive_group()
     report.add_argument("--count-only", action="store_true")
     report.add_argument("--census", action="store_true")
 
-    # Its own --point: the usage line reads ``--n N --point POINT``.
-    p = add("definite", cmd_definite, "questions with a definite answer for a point")
-    p.add_argument("--n", type=_non_negative, required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--labels", metavar="L1,L2,...")
+    p = add("definite", cmd_definite, "questions with a definite answer for a point", n, point)
+    p.add_argument("--labels", type=_points, metavar="L1,L2,...")
 
     p = add("parents", cmd_parents, "questions on a superset containing this one", file)
-    p.add_argument("--superset", required=True, metavar="L1,L2,...")
+    p.add_argument("--superset", type=_points, required=True, metavar="L1,L2,...")
     p.add_argument("--limit", type=_non_negative)
 
     add("efficiency", cmd_efficiency, "assertions eliminated by one resolution", file, point)
@@ -243,7 +231,21 @@ def main(argv=None) -> int:
     try:
         try:
             args = parser.parse_args(argv)  # --help and --version exit here
-            return args.func(args)
+            # One print per document, not one joined write: on an unbuffered
+            # stdout a large write that a closed pipe cuts short is dropped
+            # without an error, and only print's own "\n" write raises.
+            for document in args.func(args):
+                print(document)
+            return 0
+        except _Invalid as e:
+            print(e)  # the failing family's document
+            return 1
+        except DocumentError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        except (TopologyError, GroundSetError, UnknownLabelError, SizeLimitError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
         finally:
             sys.stdout.flush()  # a closed pipe raises here, not at exit
     except BrokenPipeError:
@@ -253,12 +255,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (TopologyError, GroundSetError, UnknownLabelError, SizeLimitError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

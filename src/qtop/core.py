@@ -23,6 +23,8 @@ class GroundSetError(ValueError):
 class UnknownLabelError(ValueError):
     """A label that does not belong to the ground set."""
 
+    label: object = None  # the offending label, when one label is at fault
+
 
 class SizeLimitError(ValueError):
     """The enumeration size limit was exceeded."""
@@ -147,9 +149,9 @@ class GroundSet(Frozen):
         return self._low[mask & 255] + self._high[mask >> 8]
 
     def _unknown(self, label: object) -> UnknownLabelError:
-        return UnknownLabelError(
-            f"label {label!r} is not in ground set {list(self.labels)}"
-        )
+        error = UnknownLabelError(f"label {label!r} is not in ground set {list(self.labels)}")
+        error.label = label
+        return error
 
 
 def _byte_table(labels: tuple[str, ...]) -> list[tuple[str, ...]]:
@@ -345,9 +347,8 @@ class Topology(SubsetFamily):
 def make_topology(family: SubsetFamily) -> Topology:
     """``family`` as a ``Topology`` if it satisfies C1-C3; otherwise the
     ``TopologyError`` of its first violation, raised here alone."""
-    ok, violation = is_topology(family)
-    if not ok:
-        assert violation is not None
+    _, violation = is_topology(family)
+    if violation is not None:
         raise TopologyError(violation)
     return Topology._trusted(family.masks, family.ground)
 

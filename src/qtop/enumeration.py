@@ -111,15 +111,11 @@ def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
 
 
 def elimination_efficiency(t: Topology, x: str) -> int:
-    """Assertions eliminated by resolving ``x`` once: the whole space for a
-    definite answer, nothing for an irrelevant point."""
-    outcome = classify_question(t, x)
-    if outcome.kind is QuestionType.TYPE_II:
-        return t.ground.size
-    if outcome.kind is QuestionType.TYPE_III:
-        return 0
-    assert outcome.carrier is not None
-    return t.ground.size - outcome.carrier.mask.bit_count()
+    """Assertions eliminated by resolving ``x`` once: the points outside
+    the largest open left, so the whole space for a definite answer, and
+    nothing for an irrelevant point, which leaves no open."""
+    left = classify_question(t, x).result_family.masks
+    return t.ground.size - left[-1].bit_count() if left else 0
 
 
 def parent_questions(

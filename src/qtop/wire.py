@@ -17,7 +17,7 @@ from .core import (
     UnknownLabelError,
     make_ground_set,
 )
-from .calculus import QuestionType, ResolutionOutcome, ResolutionStep
+from .calculus import ResolutionOutcome, ResolutionStep
 
 
 class DocumentError(ValueError):
@@ -62,9 +62,8 @@ def parse_question(text: str) -> tuple[GroundSet, SubsetFamily]:
             raise DocumentError(f"opens[{i}]: must be a list of labels")
         try:
             masks.add(ground.mask_of(entry))
-        except UnknownLabelError:
-            bad = next(label for label in entry if label not in ground)
-            raise DocumentError(f"opens[{i}]: unknown label {bad!r}") from None
+        except UnknownLabelError as e:
+            raise DocumentError(f"opens[{i}]: unknown label {e.label!r}") from None
     return ground, SubsetFamily.from_masks(masks, ground)
 
 
@@ -89,8 +88,7 @@ question_document = family_document  # the older name, kept for the benchmark tr
 def _outcome(outcome: ResolutionOutcome) -> dict:
     """``kind``, then ``carrier`` for TYPE_I only, then ``opens``."""
     obj: dict[str, object] = {"kind": outcome.kind.value}
-    if outcome.kind is QuestionType.TYPE_I:
-        assert outcome.carrier is not None
+    if outcome.carrier is not None:
         obj["carrier"] = outcome.carrier.labels()
     obj["opens"] = family_opens(outcome.result_family)
     return obj

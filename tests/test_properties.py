@@ -267,15 +267,18 @@ def test_mask_of_ignores_order_and_duplicates(pair, data):
 )
 def test_unknown_label_message(labels, bad, text):
     """``mask_of`` names the first bad label, and names a lone bad label,
-    as a point lookup ``mask_of((x,))`` meets it, the same way."""
+    as a point lookup ``mask_of((x,))`` meets it, the same way; the error
+    carries it."""
     g = make_ground_set(["a", "b"])
     message = f"label {text} is not in ground set ['a', 'b']"
     with pytest.raises(UnknownLabelError) as exc:
         g.mask_of(labels)
     assert str(exc.value) == message
+    assert exc.value.label == bad
     with pytest.raises(UnknownLabelError) as exc:
         g.mask_of((bad,))
     assert str(exc.value) == message
+    assert exc.value.label == bad
 
 
 def test_mask_of_a_non_iterable_is_a_type_error():

@@ -281,22 +281,48 @@ class TestCliExitCodes:
         assert exc.value.code == 0
         assert capsys.readouterr().out == '{"n":2,"count":4}\n'
 
-    def test_closed_stdout_exits_141_quietly(self):
-        """``qtop enumerate --n 5 | head -n 1``: the reader goes away while
-        the writer still holds far more than a pipe buffer."""
+    @staticmethod
+    def closed_early(argv, unbuffered, read):
+        """Run ``qtop argv`` with ``PYTHONUNBUFFERED`` unset or set to 1,
+        let ``read`` take what it wants of stdout, close the pipe, and
+        give the exit status and stderr."""
         src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "qtop.cli", "enumerate", "--n", "5"],
+            [sys.executable, "-m", "qtop.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": src},
+            env={**env, "PYTHONPATH": src},
         )
-        assert proc.stdout.readline().startswith(b'{"elements":["x0"')
+        head = read(proc.stdout)
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
-        assert proc.wait() == 141
-        assert err == b""
+        return head, proc.wait(), err
+
+    def test_closed_stdout_exits_141_quietly(self):
+        """``qtop enumerate --n 5 | head -n 1``: the reader goes away while
+        the writer still holds far more than a pipe buffer."""
+        argv = ["enumerate", "--n", "5"]
+        for unbuffered in (False, True):
+            head, code, err = self.closed_early(argv, unbuffered, lambda out: out.readline())
+            assert head.startswith(b'{"elements":["x0"')
+            assert (code, err) == (141, b"")
+
+    def test_one_document_larger_than_the_pipe_exits_141_quietly(self, tmp_path):
+        """``qtop negate discrete.json | head -c 10`` on the 16-point
+        discrete topology: one 2.2 MB document.  Unbuffered, a single
+        write of it all would be cut short at the pipe without an error."""
+        labels = list("nckamhblejdgpfio")
+        opens = [[x for i, x in enumerate(labels) if m >> i & 1] for m in range(1 << 16)]
+        path = write_doc(tmp_path, labels, opens)
+        argv = ["negate", path]
+        for unbuffered in (False, True):
+            head, code, err = self.closed_early(argv, unbuffered, lambda out: out.read(10))
+            assert head == b'{"elements'
+            assert (code, err) == (141, b"")
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_on_a_closed_pipe_exit_141_quietly(self, flag):
@@ -488,6 +514,27 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, option, raw",
+        [
+            (["sequence", "{doc}", "--points", ","], "--points", ","),
+            (["sequence", "{doc}", "--points", ""], "--points", ""),
+            (["parents", "{doc}", "--superset", ","], "--superset", ","),
+            (["enumerate", "--n", "0", "--labels", ","], "--labels", ","),
+        ],
+    )
+    def test_label_list_naming_no_label_is_a_usage_error(
+        self, argv, option, raw, t_x_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(doc=t_x_file) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {option}: must name at least one label, got {raw!r}\n"
+        )
 
     def test_labels_naming_too_few_points_exit_one(self, capsys):
         assert main(["enumerate", "--n", "3", "--labels", "a,b"]) == 1
