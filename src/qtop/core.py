@@ -195,7 +195,7 @@ class Subset(Frozen):
 
 class SubsetFamily(Frozen):
     """Duplicate-free collection of subsets, stored as the strictly
-    ascending tuple of their masks.
+    ascending tuple of their integer masks.
 
     The direct constructor demands canonical input; use ``from_masks`` to
     canonicalize an arbitrary iterable of masks.
@@ -206,6 +206,7 @@ class SubsetFamily(Frozen):
     def __init__(self, masks: tuple[int, ...], ground: GroundSet) -> None:
         if not isinstance(masks, tuple):
             raise TypeError(f"family masks must be a tuple, got {type(masks).__name__}")
+        masks = tuple(map(operator.index, masks))  # TypeError on any non-integer mask
         if not all(map(operator.lt, masks, masks[1:])):
             raise ValueError("family members must be strictly ascending by mask")
         if masks and (masks[0] < 0 or masks[-1] > ground.full_mask):
@@ -285,14 +286,13 @@ def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
     unseen = ground.full_mask
     for m in masks:
         new = m & unseen
-        if new:
-            unseen ^= new
-            while new:  # n steps over the whole scan: each point once
-                low = new & -new
-                least[low.bit_length() - 1] = m
-                new ^= low
-            if not unseen:
-                break
+        unseen ^= new
+        while new:  # n steps over the whole scan: each point once
+            low = new & -new
+            least[low.bit_length() - 1] = m
+            new ^= low
+        if not unseen:
+            break
     transitive = all(
         not vy & ~vx for vx in least for i, vy in enumerate(least) if vx >> i & 1
     )

@@ -351,6 +351,22 @@ class TestConstructionRule:
         assert exc.value.violation == is_topology(SubsetFamily((1, 2), abc))[1]
         assert str(exc.value) == "C1 violated: the empty set is missing"
 
+    @pytest.mark.parametrize("cls", [SubsetFamily, Topology])
+    @pytest.mark.parametrize(
+        "masks", [(0, 0.5, 7), (0, 2.5), (0, 7.0)], ids=["0.5", "2.5", "7.0"]
+    )
+    def test_family_doors_refuse_non_integer_masks(self, masks, cls):
+        """A float mask is refused at the door, not later by the writer
+        or the axiom check."""
+        g = ground_of(3)
+        for build in (cls, cls.from_masks):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+                build(masks, g)
+
+    def test_bool_masks_read_as_ints(self):
+        family = SubsetFamily((False, True), ground_of(1))
+        assert family.masks == (0, 1) and type(family.masks[1]) is int
+
     @pytest.mark.parametrize(
         "labels",
         [

@@ -39,6 +39,25 @@ def write_doc(tmp_path, elements, opens, name="q.json"):
     return str(path)
 
 
+def opens_of(labels, masks):
+    return [[x for i, x in enumerate(labels) if m >> i & 1] for m in masks]
+
+
+# 16 labels (the ground size cap), not in name order: the last eight
+# are named through the high byte of the label codec.
+L16 = list("nckamhblejdgpfio")
+
+
+@pytest.fixture(scope="module")
+def discrete_16(tmp_path_factory):
+    """The discrete topology on ``L16`` in canonical form, as ``qtop``
+    writes it: 65536 opens, 2.2 MB."""
+    path = tmp_path_factory.mktemp("discrete") / "discrete.json"
+    doc = {"elements": L16, "opens": opens_of(L16, range(1 << 16))}
+    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    return str(path)
+
+
 class TestParseQuestion:
     def test_t1_document(self):
         ground, family = parse_question(
@@ -141,31 +160,55 @@ class TestCliCommands:
         assert out["axiom"] == "C1"
 
     @pytest.mark.parametrize(
-        "elements, opens, out",
+        "elements, masks, out",
         [
             pytest.param(
                 ["a", "b", "c"],
-                [[], ["a"], ["b"], ["a", "b", "c"]],
+                [0, 1, 2, 7],
                 '{"valid":false,"axiom":"C2","message":"union of Subset({a}) and '
                 'Subset({b}) is not in the family","witness":[["a"],["b"]]}\n',
                 id="C2",
             ),
             pytest.param(
                 ["m", "s", "e"],
-                [[], ["m", "s"], ["s", "e"], ["m", "s", "e"]],
+                [0, 3, 6, 7],
                 '{"valid":false,"axiom":"C3","message":"intersection of Subset({m,s}) '
                 'and Subset({s,e}) is not in the family",'
                 '"witness":[["m","s"],["s","e"]]}\n',
                 id="C3",
             ),
+            # Two opens that meet only in bit 8, so the witness is named
+            # through the high byte of the label codec.  Their unions are
+            # the family, but the least opens are not transitive.
+            pytest.param(
+                L16,
+                [0, 0x1FF, 0xFF00, 0xFFFF],
+                '{"valid":false,"axiom":"C3","message":"intersection of '
+                'Subset({n,c,k,a,m,h,b,l,e}) and Subset({e,j,d,g,p,f,i,o}) is not '
+                'in the family","witness":[["n","c","k","a","m","h","b","l","e"],'
+                '["e","j","d","g","p","f","i","o"]]}\n',
+                id="C3-high-byte",
+            ),
+            # 57344 opens: every subset without o, o joined with any subset
+            # that meets n or c, and the full set.  {n,o} & {c,o} is
+            # missing; validation finds that first pair along the rows of
+            # the least opens alone, where a scan over every pair would
+            # take minutes.
+            pytest.param(
+                L16,
+                [*range(1 << 15), *(1 << 15 | m for m in range(1 << 15) if m & 3)],
+                '{"valid":false,"axiom":"C3","message":"intersection of Subset({n,o}) '
+                'and Subset({c,o}) is not in the family","witness":[["n","o"],["c","o"]]}\n',
+                id="C3-57344-opens",
+            ),
         ],
     )
     def test_validate_failure_names_its_witnesses(
-        self, elements, opens, out, tmp_path, capsys
+        self, elements, masks, out, tmp_path, capsys
     ):
         """The message prints each witness's repr, the witness field its
         labels."""
-        path = write_doc(tmp_path, elements, opens)
+        path = write_doc(tmp_path, elements, opens_of(elements, masks))
         assert main(["validate", path]) == 1
         assert capsys.readouterr() == (out, "")
 
@@ -193,13 +236,21 @@ class TestCliCommands:
         assert main(["sequence", t_x_file, "--points", "e,,s"]) == 0
         assert capsys.readouterr() == (out, "")
 
-    def test_negate(self, tmp_path, capsys):
+    def test_negate(self, tmp_path, discrete_16, capsys):
         path = write_doc(tmp_path, ["m", "s"], [[], ["m"], ["m", "s"]])
         assert main(["negate", path]) == 0
         assert (
             capsys.readouterr().out
             == '{"elements":["m","s"],"opens":[[],["s"],["m","s"]]}\n'
         )
+        # The discrete topology is its own negation: two round trips
+        # through the wire give back the canonical input byte for byte.
+        once = tmp_path / "once.json"
+        assert main(["negate", discrete_16]) == 0
+        once.write_text(capsys.readouterr().out)
+        assert main(["negate", str(once)]) == 0
+        doc = Path(discrete_16).read_text()
+        assert once.read_text() == doc == capsys.readouterr().out
 
     def test_clopen(self, t_x_file, capsys):
         assert main(["clopen", t_x_file]) == 0
@@ -208,7 +259,7 @@ class TestCliCommands:
             == '{"elements":["m","s","e"],"opens":[[],["m","s","e"]]}\n'
         )
 
-    def test_agree_and_sigma(self, t_x_file, tmp_path, capsys):
+    def test_agree_and_sigma(self, t_x_file, discrete_16, tmp_path, capsys):
         assert main(["agree", t_x_file]) == 0
         assert (
             capsys.readouterr().out
@@ -225,6 +276,19 @@ class TestCliCommands:
         raw = write_doc(tmp_path, ["m", "s"], [[], ["m"], ["s"]], "raw.json")
         assert main(["sigma", raw]) == 0
         assert capsys.readouterr().out == '{"sigma_field":false}\n'
+        # Closed under complement, but the union {a,b} is missing (C2):
+        # sigma passes the complement test and fails in the axiom check.
+        c2 = write_doc(
+            tmp_path, ["a", "b", "c"], opens_of("abc", [0, 1, 2, 5, 6, 7]), "c2.json"
+        )
+        assert main(["sigma", c2]) == 0
+        assert capsys.readouterr().out == '{"sigma_field":false}\n'
+        # Every one of the 65536 opens is clopen.  agree reads the verdict
+        # off the clopen count; sigma runs the raw-family check on them all.
+        assert main(["agree", discrete_16]) == 0
+        assert capsys.readouterr().out == '{"machines_agree":true,"sigma_field":true}\n'
+        assert main(["sigma", discrete_16]) == 0
+        assert capsys.readouterr().out == '{"sigma_field":true}\n'
 
     def test_enumerate_stream(self, capsys):
         assert main(["enumerate", "--n", "2", "--labels", "m,s"]) == 0
@@ -236,6 +300,12 @@ class TestCliCommands:
     def test_enumerate_count_only_and_census(self, capsys):
         assert main(["enumerate", "--n", "3", "--count-only"]) == 0
         assert capsys.readouterr().out == '{"n":3,"count":29}\n'
+        assert main(["enumerate", "--n", "3", "--census"]) == 0
+        assert capsys.readouterr().out == (
+            '{"n":3,"count":29,"census":{"x0":{"type-1":22,"type-2":7},'
+            '"x1":{"type-1":22,"type-2":7},"x2":{"type-1":22,"type-2":7}},'
+            '"self_dual_count":5}\n'
+        )
         assert main(["enumerate", "--n", "2", "--census"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["count"] == 4
@@ -311,14 +381,11 @@ class TestCliExitCodes:
             assert head.startswith(b'{"elements":["x0"')
             assert (code, err) == (141, b"")
 
-    def test_one_document_larger_than_the_pipe_exits_141_quietly(self, tmp_path):
+    def test_one_document_larger_than_the_pipe_exits_141_quietly(self, discrete_16):
         """``qtop negate discrete.json | head -c 10`` on the 16-point
         discrete topology: one 2.2 MB document.  Unbuffered, a single
         write of it all would be cut short at the pipe without an error."""
-        labels = list("nckamhblejdgpfio")
-        opens = [[x for i, x in enumerate(labels) if m >> i & 1] for m in range(1 << 16)]
-        path = write_doc(tmp_path, labels, opens)
-        argv = ["negate", path]
+        argv = ["negate", discrete_16]
         for unbuffered in (False, True):
             head, code, err = self.closed_early(argv, unbuffered, lambda out: out.read(10))
             assert head == b'{"elements'
