@@ -14,6 +14,18 @@ import enum
 
 from .core import Frozen, GroundSet, GroundSetError, Subset, SubsetFamily, Topology
 
+__all__ = [
+    "QuestionType",
+    "ResolutionOutcome",
+    "ResolutionStep",
+    "classify_question",
+    "neighborhood_system",
+    "open_sets_containing",
+    "resolve_issue",
+    "resolve_sequence",
+    "subspace_topology",
+]
+
 
 class QuestionType(enum.Enum):
     TYPE_I = "type-1"

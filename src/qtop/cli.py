@@ -52,6 +52,8 @@ def _read(path: str) -> str:
         raise DocumentError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise DocumentError(f"cannot read {path}: not UTF-8 ({e.reason})") from None
+    except ValueError as e:  # a path no file can have: a null byte, a lone surrogate
+        raise DocumentError(f"cannot read {path!r}: {e}") from None
 
 
 def _family(args) -> SubsetFamily:

@@ -13,6 +13,23 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable
 
+__all__ = [
+    "MAX_GROUND_SIZE",
+    "AxiomViolation",
+    "GroundSet",
+    "GroundSetError",
+    "SizeLimitError",
+    "Subset",
+    "SubsetFamily",
+    "Topology",
+    "TopologyError",
+    "UnknownLabelError",
+    "generated_topology",
+    "is_topology",
+    "make_ground_set",
+    "make_topology",
+]
+
 MAX_GROUND_SIZE = 16
 
 

@@ -4,11 +4,23 @@ efficiency, and parent questions on supersets."""
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Iterator
 
 from . import kernel
 from .calculus import QuestionType, classify_question
 from .core import Frozen, GroundSet, SizeLimitError, Topology, UnknownLabelError
+
+__all__ = [
+    "ENUMERATION_LIMIT",
+    "EnumerationReport",
+    "count_topologies",
+    "elimination_efficiency",
+    "enumerate_topologies",
+    "enumeration_report",
+    "find_definite_questions",
+    "parent_questions",
+]
 
 ENUMERATION_LIMIT = kernel.MAX_N
 
@@ -136,4 +148,6 @@ def parent_questions(
         Topology._trusted(masks, superset_ground)
         for masks in kernel.topology_masks(superset_ground.size, required=required)
     )
+    if limit is not None:
+        limit = min(limit, sys.maxsize)  # islice refuses more; no stream comes near it
     yield from itertools.islice(found, limit)

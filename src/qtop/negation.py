@@ -11,6 +11,16 @@ from __future__ import annotations
 
 from .core import Frozen, SubsetFamily, Topology, is_topology
 
+__all__ = [
+    "MachinePair",
+    "atomic_machine_census",
+    "clopen_sets",
+    "is_sigma_field",
+    "machines_agree",
+    "make_machine_pair",
+    "negation_question",
+]
+
 
 class MachinePair(Frozen):
     """A question, its negation, and the clopen channel between them."""

@@ -19,6 +19,8 @@ from .core import (
 )
 from .calculus import ResolutionOutcome, ResolutionStep
 
+__all__ = ["DocumentError", "parse_question"]
+
 
 class DocumentError(ValueError):
     """Malformed question document (syntax, schema, or label errors)."""

@@ -45,3 +45,17 @@ def mse_ground():
 def t_x(mse_ground):
     """The worked example: {phi, {m}, {m,s}, {m,e}, X} on {m,s,e}."""
     return Topology.from_masks([0, 1, 3, 5, 7], mse_ground)
+
+
+# ``t_x`` as a document, in the canonical form ``qtop`` writes.
+T_X_DOC = (
+    '{"elements":["m","s","e"],'
+    '"opens":[[],["m"],["m","s"],["m","e"],["m","s","e"]]}\n'
+)
+
+
+@pytest.fixture
+def t_x_file(tmp_path):
+    path = tmp_path / "t_x.json"
+    path.write_text(T_X_DOC)
+    return str(path)

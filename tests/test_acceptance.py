@@ -2,11 +2,8 @@
 plus exhaustive property checks against the brute-force oracle.  Each
 test prints one pass/fail line (run with -s to see them inline)."""
 
-import json
 import time
 from contextlib import contextmanager
-
-import pytest
 
 from qtop import (
     QuestionType,
@@ -30,11 +27,6 @@ from qtop.cli import main
 from conftest import all_topologies, ground_of, oracle_families
 from oracle import brute_force_topologies
 
-T_X_DOC = (
-    '{"elements":["m","s","e"],'
-    '"opens":[[],["m"],["m","s"],["m","e"],["m","s","e"]]}'
-)
-
 
 @contextmanager
 def criterion(num, title):
@@ -44,13 +36,6 @@ def criterion(num, title):
         print(f"criterion {num:2d} FAIL  {title}")
         raise
     print(f"criterion {num:2d} PASS  {title}")
-
-
-@pytest.fixture
-def t_x_file(tmp_path):
-    path = tmp_path / "t_x.json"
-    path.write_text(T_X_DOC)
-    return str(path)
 
 
 def test_criterion_01_resolution_worked_example(t_x_file, capsys):

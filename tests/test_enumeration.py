@@ -323,6 +323,9 @@ class TestParentQuestions:
         g1 = make_ground_set(["m"])
         t = Topology.from_masks([0, 1], g1)
         assert len(list(parent_questions(t, ms_ground, limit=1))) == 1
+        # Past sys.maxsize, which itertools.islice refuses: every parent.
+        every = list(parent_questions(t, ms_ground))
+        assert list(parent_questions(t, ms_ground, limit=2**63)) == every
 
     def test_label_mismatch_rejected(self, ms_ground):
         g = make_ground_set(["q"])

@@ -12,25 +12,10 @@ from qtop import DocumentError, cli, parse_question
 from qtop.cli import main
 from qtop.wire import question_document
 
-T_X_DOC = json.dumps(
-    {
-        "elements": ["m", "s", "e"],
-        "opens": [[], ["m"], ["m", "s"], ["m", "e"], ["m", "s", "e"]],
-    }
-)
-
-
 # The first opens list is a topology on {a,b} other than the second.
 REPEATED_OPENS_DOC = (
     '{"elements":["a","b"],"opens":[[],["a"],["a","b"]],"opens":[[],["a","b"]]}'
 )
-
-
-@pytest.fixture
-def t_x_file(tmp_path):
-    path = tmp_path / "t_x.json"
-    path.write_text(T_X_DOC)
-    return str(path)
 
 
 def write_doc(tmp_path, elements, opens, name="q.json"):
@@ -323,10 +308,13 @@ class TestCliCommands:
     def test_parents(self, tmp_path, capsys):
         path = write_doc(tmp_path, ["m"], [[], ["m"]])
         assert main(["parents", path, "--superset", "m,s"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 2
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 2
         assert main(["parents", path, "--superset", "m,s", "--limit", "1"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
+        # A limit past sys.maxsize, which itertools.islice refuses: every parent.
+        assert main(["parents", path, "--superset", "m,s", "--limit", str(2**63)]) == 0
+        assert capsys.readouterr() == (out, "")
 
     def test_efficiency(self, t_x_file, capsys):
         assert main(["efficiency", t_x_file, "--point", "m"]) == 0
@@ -433,6 +421,12 @@ class TestCliExitCodes:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["classify", "/no/such/file", "--point", "m"]) == 2
+        # Paths open() refuses with a ValueError; no shell argv can carry them.
+        for path in ("a\x00b", "\ud800"):
+            assert main(["validate", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: cannot read ")
 
     def test_invalid_topology_for_classify_exits_one(self, tmp_path, capsys):
         path = write_doc(tmp_path, ["m", "s"], [[], ["m"]])
