@@ -49,9 +49,9 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e.strerror}") from None
+        raise DocumentError(f"cannot read {path!r}: {e.strerror}") from None
     except UnicodeDecodeError as e:
-        raise DocumentError(f"cannot read {path}: not UTF-8 ({e.reason})") from None
+        raise DocumentError(f"cannot read {path!r}: not UTF-8 ({e.reason})") from None
     except ValueError as e:  # a path no file can have: a null byte, a lone surrogate
         raise DocumentError(f"cannot read {path!r}: {e}") from None
 

@@ -9,7 +9,7 @@ from collections.abc import Iterator
 
 from . import kernel
 from .calculus import QuestionType, classify_question
-from .core import Frozen, GroundSet, SizeLimitError, Topology, UnknownLabelError
+from .core import Frozen, GroundSet, SizeLimitError, Topology
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -69,9 +69,9 @@ def enumeration_report(ground: GroundSet) -> EnumerationReport:
       the type of x to the type of its image, so one point's tally serves
       them all.
     - x is type-2 iff every non-empty open contains x, so the type-2
-      tally is the length of the search that forbids every other
-      non-empty mask (the one ``find_definite_questions`` runs); every
-      other topology leaves x type-1.
+      tally is the length of the search whose every non-empty open
+      holds x (the one ``find_definite_questions`` runs); every other
+      topology leaves x type-1.
     - A topology equals its negation iff its specialization preorder
       ``y in U_x`` is symmetric (Alexandroff, 1937: a finite topology is
       its preorder).  A symmetric preorder is an equivalence relation,
@@ -82,7 +82,7 @@ def enumeration_report(ground: GroundSet) -> EnumerationReport:
     n = ground.size
     count = count_topologies(n)
     # Point 0 stands for every point; on the empty ground it goes unused.
-    definite = len(kernel.topology_masks(n, forbidden=_lacking(ground, 1)))
+    definite = len(kernel.topology_masks(n, point=1))
     census = {
         label: {
             QuestionType.TYPE_I.value: count - definite,
@@ -106,19 +106,11 @@ def _bell(n: int) -> int:
     return row[0]
 
 
-def _lacking(ground: GroundSet, bit: int) -> int:
-    """The kernel's ``forbidden`` bitset of every non-empty mask on
-    ``ground`` without ``bit``: what is left are the topologies whose
-    every non-empty open holds that point."""
-    return sum(1 << m for m in range(1, ground.full_mask + 1) if not m & bit)
-
-
 def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
     """Topologies whose every non-empty open contains ``x``: asking them
     resolves the whole space in one step."""
     _check_size(ground.size)
-    forbidden = _lacking(ground, ground.mask_of((x,)))
-    for masks in kernel.topology_masks(ground.size, forbidden=forbidden):
+    for masks in kernel.topology_masks(ground.size, point=ground.mask_of((x,))):
         yield Topology._trusted(masks, ground)
 
 
@@ -136,11 +128,6 @@ def parent_questions(
     """Topologies on the larger ground set containing every open of ``t``
     (re-embedded by label identity)."""
     _check_size(superset_ground.size)
-    missing = [l for l in t.ground.labels if l not in superset_ground]
-    if missing:
-        raise UnknownLabelError(
-            f"labels {missing} of the sub-question are not in the superset ground"
-        )
     required = sum(
         1 << superset_ground.mask_of(t.ground.labels_of(m)) for m in t.masks
     )

@@ -7,19 +7,17 @@ was already excluded is a contradiction, and a union demanded by earlier
 members forces inclusion when its turn comes.  Include-first emission
 yields families in ascending lexicographic order of their sorted masks.
 
-A search can be constrained by two bitsets indexed by mask value.
-``required`` seeds the set of forced masks, so the exclude branch is
-refused at each required mask's turn.  A ``forbidden`` mask is never a
-candidate: the search visits only the masks it allows, so a forbidden
-mask costs nothing, and an include whose union demand lands on a
-forbidden mask is pruned at once, as is a search that requires a mask
-it forbids.  Either only cuts subtrees, so the result is exactly the
-subsequence of the full stream that holds every required mask and no
-forbidden one, in the same order.  The search for the questions with a
-definite answer at x forbids every non-empty mask that lacks x.  That
-prune leads into no dead end: the union and the intersection of two
-masks containing x contain x too, so no closure demand ever falls on a
-forbidden mask.
+A search can be constrained two ways.  ``required`` is a bitset indexed
+by mask value that seeds the set of forced masks, so the exclude branch
+is refused at each required mask's turn.  A non-zero ``point`` mask must
+lie in every non-empty open: the candidates are the masks that contain
+it, and a search that requires a mask lacking it is empty.  The union and
+the intersection of two masks containing ``point`` contain it too, so no
+closure demand ever falls outside the candidates.  Either constraint
+only cuts subtrees, so the result is exactly the subsequence of the full
+stream that holds every required mask and whose every non-empty open
+contains ``point``, in the same order.  The search for the questions
+with a definite answer at x passes x's mask as ``point``.
 """
 
 from __future__ import annotations
@@ -27,22 +25,20 @@ from __future__ import annotations
 MAX_N = 5
 
 
-def topology_masks(
-    n: int, required: int = 0, forbidden: int = 0
-) -> list[tuple[int, ...]]:
+def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int, ...]]:
     """All topologies on n points, each as its sorted tuple of open masks,
-    that hold every mask whose bit is set in ``required`` and none whose
-    bit is set in ``forbidden``.  Bits of the empty and the full mask are
-    ignored: every topology holds both."""
+    that hold every mask whose bit is set in ``required`` and whose every
+    non-empty open contains the mask ``point`` (0: no constraint).  Bits
+    of the empty and the full mask are ignored: every topology holds
+    both."""
     if not 0 <= n <= MAX_N:
         raise ValueError(f"enumeration supports 0 <= n <= {MAX_N}, got {n}")
     full = (1 << n) - 1
     if full == 0:
         return [(0,)]
-    forbidden &= (1 << full) - 2  # only masks strictly between empty and full count
-    if required & forbidden:
+    if point & ~full or any(required >> s & 1 for s in range(1, full) if s & point != point):
         return []
-    candidates = [s for s in range(1, full) if not forbidden >> s & 1]
+    candidates = [s for s in range(1, full) if s & point == point]
     last = len(candidates)
     out: list[tuple[int, ...]] = []
 
@@ -61,7 +57,7 @@ def topology_masks(
             if w and w != u and not (chosen_bits >> w) & 1:
                 ok = False
                 break
-        if ok and not req & forbidden:
+        if ok:
             rec(i + 1, chosen + (s,), chosen_bits | (1 << s), req & ~(1 << s))
         if not (required >> s) & 1:
             rec(i + 1, chosen, chosen_bits, required)

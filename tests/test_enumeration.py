@@ -7,6 +7,7 @@ import pytest
 from qtop import (
     SizeLimitError,
     Topology,
+    UnknownLabelError,
     count_topologies,
     elimination_efficiency,
     enumerate_topologies,
@@ -89,45 +90,42 @@ class TestConstrainedKernel:
     def test_forbidding_the_masks_without_a_point(self, n):
         full = kernel.topology_masks(n)
         for i in range(n):
-            forbidden = 0
-            for m in range(1, 1 << n):
-                if not m & (1 << i):
-                    forbidden |= 1 << m
-            expected = [f for f in full if not any((forbidden >> m) & 1 for m in f)]
-            assert kernel.topology_masks(n, forbidden=forbidden) == expected
+            expected = [f for f in full if all(m & (1 << i) for m in f[1:])]
+            assert kernel.topology_masks(n, point=1 << i) == expected
 
     @pytest.mark.parametrize("n, pairs", [(2, 100), (3, 200), (4, 200), (5, 8)])
     def test_requiring_and_forbidding_at_once(self, n, pairs):
-        """Seeded ``(required, forbidden)`` bitsets over every mask value,
-        the empty and the full mask's bits included, and three chosen
-        pairs: both constraints on every end, a required mask that is
-        forbidden, and two required masks whose union is forbidden."""
+        """Seeded ``required`` bitsets over every mask value, the empty and
+        the full mask's bits included, each searched with no point and
+        with every point, which forbids the masks without it.  Then the
+        corners: both ends required, a required mask that lacks the
+        point, the full mask as the point, and a point off the ground."""
         full = (1 << n) - 1
         stream = kernel.topology_masks(n)
         stream_bits = [sum(1 << m for m in f) for f in stream]
         ends = 1 | 1 << full
         rng = random.Random(n)
-        cases = [
-            (ends, ends),
-            (1 << 1, 1 << 1),
-            (1 << 1 | 1 << 2, 1 << 3 if n > 2 else 0),
-        ]
+        requireds = [ends, 1 << 1]
         for _ in range(pairs):
-            sparse = [rng.getrandbits(full + 1) for _ in range(5)]
-            cases.append((sparse[0] & sparse[1] & sparse[2], sparse[3] & sparse[4]))
+            sparse = [rng.getrandbits(full + 1) for _ in range(3)]
+            requireds.append(sparse[0] & sparse[1] & sparse[2])
         found = 0
-        for required, forbidden in cases:
-            inner_required = required & ~ends
-            expected = [
-                f
-                for f, bits in zip(stream, stream_bits)
-                if bits & inner_required == inner_required and not bits & forbidden & ~ends
-            ]
-            assert kernel.topology_masks(n, required, forbidden) == expected
-            found += bool(expected)
-        assert kernel.topology_masks(n, ends, ends) == stream
-        assert kernel.topology_masks(n, 1 << 1, 1 << 1) == []
-        assert found > len(cases) // 4
+        for point in [0, *(1 << i for i in range(n))]:
+            lacking = sum(1 << m for m in range(1, full + 1) if m & point != point)
+            for required in requireds:
+                inner = required & ~ends
+                expected = [
+                    f
+                    for f, bits in zip(stream, stream_bits)
+                    if bits & inner == inner and not bits & lacking
+                ]
+                assert kernel.topology_masks(n, required, point) == expected
+                found += bool(expected)
+        assert kernel.topology_masks(n, ends) == stream
+        assert kernel.topology_masks(n, 1 << 1, point=1 << 1) == []
+        assert kernel.topology_masks(n, point=full) == [(0, full)]
+        assert kernel.topology_masks(n, point=1 << n) == []
+        assert found > (n + 1) * len(requireds) // 4
 
     @pytest.mark.parametrize("n", [-1, 6])
     def test_size_outside_the_kernel_range(self, n):
@@ -329,5 +327,7 @@ class TestParentQuestions:
 
     def test_label_mismatch_rejected(self, ms_ground):
         g = make_ground_set(["q"])
-        with pytest.raises(ValueError, match="not in the superset"):
+        with pytest.raises(
+            UnknownLabelError, match=r"^label 'q' is not in ground set \['m', 's'\]$"
+        ):
             list(parent_questions(Topology.indiscrete(g), ms_ground))

@@ -286,6 +286,19 @@ def test_mask_of_a_non_iterable_is_a_type_error():
         make_ground_set(["a"]).mask_of(1)
 
 
+def test_mask_of_passes_a_label_bug_through():
+    """Only an absent or unhashable label is a domain error: anything
+    else a label raises leaves ``mask_of`` as it is, never disguised as
+    an ``UnknownLabelError``."""
+
+    class BrokenHash:
+        def __hash__(self):
+            raise RuntimeError("broken hash")
+
+    with pytest.raises(RuntimeError, match="broken hash"):
+        make_ground_set(["a"]).mask_of(["a", BrokenHash()])
+
+
 def test_discrete_document_on_sixteen_shuffled_labels():
     # Every one of the 65536 masks, so bit 15 and every popcount are
     # written; the digest was taken before labels_of walked set bits.

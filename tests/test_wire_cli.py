@@ -421,12 +421,18 @@ class TestCliExitCodes:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["classify", "/no/such/file", "--point", "m"]) == 2
-        # Paths open() refuses with a ValueError; no shell argv can carry them.
-        for path in ("a\x00b", "\ud800"):
+        assert capsys.readouterr() == (
+            "",
+            "error: cannot read '/no/such/file': No such file or directory\n",
+        )
+        # A name holding the byte 0xff, which a strict UTF-8 stderr cannot
+        # print raw; then paths open() refuses with a ValueError, which no
+        # shell argv can carry.
+        for path in ("\udcff", "a\x00b", "\ud800"):
             assert main(["validate", path]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("error: cannot read ")
+            assert captured.err.startswith(f"error: cannot read {path!r}: ")
 
     def test_invalid_topology_for_classify_exits_one(self, tmp_path, capsys):
         path = write_doc(tmp_path, ["m", "s"], [[], ["m"]])
@@ -559,7 +565,7 @@ class TestCliExitCodes:
         assert main(["negate", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot read {path}: not UTF-8")
+        assert captured.err.startswith(f"error: cannot read {str(path)!r}: not UTF-8")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
