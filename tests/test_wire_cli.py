@@ -636,7 +636,9 @@ class TestPinnedOutput:
     negation and agreement to the bytes of the per-topology calculus, and
     the calculus commands, on grounds whose labels are not in name order,
     to the bytes printed before the label-bit codec moved onto
-    ``GroundSet``."""
+    ``GroundSet``; the full 5-point enumeration, and one on labels that
+    JSON must escape, to the bytes ``json.dumps`` wrote before documents
+    were joined from per-ground fragment tables."""
 
     @pytest.mark.parametrize(
         "argv, lines, digest",
@@ -725,6 +727,16 @@ class TestPinnedOutput:
                 ["parents", "{doc}", "--superset", "b,e,a,s,m"],
                 340,
                 "ff0cef29e443cdea016e777847b2506fe0d55fe987ff505f6e5b14831eb4c3fe",
+            ),
+            (
+                ["enumerate", "--n", "5"],
+                6942,
+                "beaf9b853e5daedc9ac871052b64f56c26b0b3f557627591916aadd87103f2fb",
+            ),
+            (
+                ["enumerate", "--n", "3", "--labels", 'q"uote,back\\slash,\u00e9'],
+                29,
+                "d8665d5c2dba0f9b3541086dca3c818b4a480eb90c783fe19b3cb1f23a01302b",
             ),
         ],
     )
