@@ -10,6 +10,7 @@ subspace's points, or an axiom-violation witness.
 
 from __future__ import annotations
 
+import json
 import operator
 from collections.abc import Iterable
 
@@ -112,7 +113,7 @@ class GroundSet(Frozen):
     public constructor in this module checks its type's promises; only
     results the code builds itself skip them, through ``_trusted``."""
 
-    __slots__ = ("labels", "_bits", "_low", "_high")
+    __slots__ = ("labels", "_bits", "_low", "_high", "_json")
     _fields = ("labels",)
 
     def __init__(self, labels: tuple[str, ...]) -> None:
@@ -165,6 +166,26 @@ class GroundSet(Frozen):
             raise _outside_width(mask, self)
         return self._low[mask & 255] + self._high[mask >> 8]
 
+    def _json_items(self, masks: Iterable[int]) -> list[str]:
+        """Each mask's labels as the items of a compact JSON array, the
+        text between its brackets: ``json.dumps`` of each label,
+        comma-joined, in bit order.  The masks must lie within the
+        width.  Two lookups per mask in the ``_json`` tables, built on
+        first use: the low byte's entries, then the high byte's, each
+        non-empty high entry led by the comma that joins it to a
+        non-empty low entry."""
+        try:
+            low, high = self._json
+        except AttributeError:
+            low = _json_table(self.labels[:8])
+            high = [f",{t}" if t else t for t in _json_table(self.labels[8:])]
+            _set(self, "_json", (low, high))
+        return [lo + high[m >> 8] if (lo := low[m & 255]) else high[m >> 8][1:] for m in masks]
+
+    def _json_array(self, mask: int) -> str:
+        """``mask``'s labels as a compact JSON array."""
+        return f"[{self._json_items((mask,))[0]}]"
+
     def _unknown(self, label: object) -> UnknownLabelError:
         error = UnknownLabelError(f"label {label!r} is not in ground set {list(self.labels)}")
         error.label = label
@@ -177,6 +198,15 @@ def _byte_table(labels: tuple[str, ...]) -> list[tuple[str, ...]]:
     table: list[tuple[str, ...]] = [()]
     for label in labels:
         table += [t + (label,) for t in table]
+    return table
+
+
+def _json_table(labels: tuple[str, ...]) -> list[str]:
+    """``_byte_table`` as JSON text: entry m holds the ``json.dumps`` of
+    the labels of m's set bits, comma-joined."""
+    table = [""]
+    for text in map(json.dumps, labels):
+        table += [f"{t},{text}" if t else text for t in table]
     return table
 
 
@@ -207,7 +237,7 @@ class Subset(Frozen):
         return self.ground.labels_of(self.mask)
 
     def __repr__(self) -> str:
-        return f"Subset({{{','.join(self.labels())}}})"
+        return f"Subset({self.ground._json_array(self.mask)})"
 
 
 class SubsetFamily(Frozen):
@@ -324,10 +354,11 @@ def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
         for axiom, name, m in (("C2", "union", a | b), ("C3", "intersection", a & b))
         if m not in present
     )
-    wa, wb = Subset(a, ground), Subset(b, ground)
-    return False, AxiomViolation(
-        axiom, f"{name} of {wa!r} and {wb!r} is not in the family", (wa, wb)
-    )
+    # Labels as in documents: escaped, so the message is one line and
+    # a label "a,b" reads apart from the labels "a" and "b".
+    wa, wb = ground._json_array(a), ground._json_array(b)
+    message = f"{name} of {wa} and {wb} is not in the family"
+    return False, AxiomViolation(axiom, message, (Subset(a, ground), Subset(b, ground)))
 
 
 class Topology(SubsetFamily):

@@ -1,6 +1,7 @@
 """Laws on 6-16 points, where the exhaustive oracle cannot reach, and
 the label<->bit codec on 0-16 points; the sigma-field verdict of
-``qtop agree`` on 0-16 points, against the oracle up to 4.
+``qtop agree`` on 0-16 points, against the oracle up to 4; the document
+writer against ``json.dumps`` on 0-16 labels of arbitrary text.
 
 Families have at most four members, so the topology they generate has at
 most 168 opens (the free distributive lattice on four generators, with
@@ -18,6 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from qtop import (
     QuestionType,
+    ResolutionOutcome,
+    ResolutionStep,
+    Subset,
     SubsetFamily,
     Topology,
     UnknownLabelError,
@@ -39,7 +43,7 @@ from qtop import (
 )
 from qtop.cli import main
 from qtop.core import minimal_opens
-from qtop.wire import dumps, family_document
+from qtop.wire import dumps, family_document, outcome_document, steps_document
 
 from conftest import all_topologies
 from oracle import sigma_field_holds
@@ -307,4 +311,52 @@ def test_discrete_document_on_sixteen_shuffled_labels():
     assert (
         hashlib.sha256(doc.encode("utf-8")).hexdigest()
         == "51ef7e2911d68014f21df2037861385f90fa0a643df030d9525370f256e2c725"
+    )
+
+
+# Label characters: any code point, lone surrogates included, and those
+# JSON escapes or writes as a surrogate pair, drawn often.
+LABEL_CHARS = st.characters(exclude_categories=()) | st.sampled_from(
+    '"\\/\n\t\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'
+)
+LABEL_TEXT = st.text(LABEL_CHARS, min_size=1, max_size=3)
+
+
+@st.composite
+def text_families(draw):
+    """A family on 0-16 distinct labels of arbitrary text, possibly
+    empty, its masks biased towards a zero low byte or a zero high byte."""
+    labels = draw(st.lists(LABEL_TEXT, max_size=16, unique=True))
+    g = make_ground_set(labels)
+    mask = st.integers(0, g.full_mask)
+    mask |= mask.map(lambda m: m & ~255) | mask.map(lambda m: m & 255)
+    masks = draw(st.sets(mask, max_size=24))
+    return SubsetFamily.from_masks(masks, g)
+
+
+def json_opens(f):
+    """The opens as ``json.dumps`` wrote them before the fragment tables."""
+    return [f.ground.labels_of(m) for m in f.masks]
+
+
+def json_outcome(o):
+    obj = {"kind": o.kind.value}
+    if o.carrier is not None:
+        obj["carrier"] = o.carrier.labels()
+    obj["opens"] = json_opens(o.result_family)
+    return obj
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(text_families(), st.data())
+def test_fragment_documents_are_the_json_dumps_documents(f, data):
+    g = f.ground
+    assert family_document(f) == dumps({"elements": g.labels, "opens": json_opens(f)})
+    carrier = data.draw(st.none() | st.integers(0, g.full_mask).map(lambda m: Subset(m, g)))
+    outcome = ResolutionOutcome(data.draw(st.sampled_from(QuestionType)), f, carrier)
+    assert outcome_document(outcome) == dumps(json_outcome(outcome))
+    points = data.draw(st.lists(LABEL_TEXT, max_size=3))
+    steps = [ResolutionStep(p, outcome) for p in points]
+    assert steps_document(steps) == dumps(
+        {"steps": [{"point": p, **json_outcome(outcome)} for p in points]}
     )

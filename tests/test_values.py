@@ -59,26 +59,26 @@ TOPOLOGY = f"Topology(masks=(0, 1, 3), ground={AB})"
 # (build a fresh instance, its repr, its constructor's field names)
 VALUES = {
     "GroundSet": (ab, AB, ("labels",)),
-    "Subset": (lambda: Subset(1, ab()), "Subset({a})", ("mask", "ground")),
+    "Subset": (lambda: Subset(1, ab()), 'Subset(["a"])', ("mask", "ground")),
     "SubsetFamily": (lambda: SubsetFamily((0, 1, 3), ab()), FAMILY, ("masks", "ground")),
     "AxiomViolation": (
         c2_violation,
-        "AxiomViolation(axiom='C2', message='union of Subset({a}) and Subset({b}) "
-        "is not in the family', witnesses=(Subset({a}), Subset({b})))",
+        "AxiomViolation(axiom='C2', message='union of [\"a\"] and [\"b\"] is not "
+        "in the family', witnesses=(Subset([\"a\"]), Subset([\"b\"])))",
         ("axiom", "message", "witnesses"),
     ),
     "Topology": (t_ab, TOPOLOGY, ("masks", "ground")),
     "ResolutionOutcome": (
         lambda: classify_question(t_ab(), "b"),
         "ResolutionOutcome(kind=<QuestionType.TYPE_I: 'type-1'>, "
-        f"result_family=SubsetFamily(masks=(0, 1), ground={AB}), carrier=Subset({{a}}))",
+        f'result_family=SubsetFamily(masks=(0, 1), ground={AB}), carrier=Subset(["a"]))',
         ("kind", "result_family", "carrier"),
     ),
     "ResolutionStep": (
         lambda: resolve_sequence(t_ab(), ["b"])[0],
         "ResolutionStep(point='b', outcome=ResolutionOutcome(kind=<QuestionType.TYPE_I: "
         f"'type-1'>, result_family=SubsetFamily(masks=(0, 1), ground={AB}), "
-        "carrier=Subset({a})))",
+        'carrier=Subset(["a"])))',
         ("point", "outcome"),
     ),
     "MachinePair": (

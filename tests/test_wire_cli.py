@@ -150,15 +150,15 @@ class TestCliCommands:
             pytest.param(
                 ["a", "b", "c"],
                 [0, 1, 2, 7],
-                '{"valid":false,"axiom":"C2","message":"union of Subset({a}) and '
-                'Subset({b}) is not in the family","witness":[["a"],["b"]]}\n',
+                '{"valid":false,"axiom":"C2","message":"union of [\\"a\\"] and '
+                '[\\"b\\"] is not in the family","witness":[["a"],["b"]]}\n',
                 id="C2",
             ),
             pytest.param(
                 ["m", "s", "e"],
                 [0, 3, 6, 7],
-                '{"valid":false,"axiom":"C3","message":"intersection of Subset({m,s}) '
-                'and Subset({s,e}) is not in the family",'
+                '{"valid":false,"axiom":"C3","message":"intersection of [\\"m\\",\\"s\\"] '
+                'and [\\"s\\",\\"e\\"] is not in the family",'
                 '"witness":[["m","s"],["s","e"]]}\n',
                 id="C3",
             ),
@@ -169,7 +169,8 @@ class TestCliCommands:
                 L16,
                 [0, 0x1FF, 0xFF00, 0xFFFF],
                 '{"valid":false,"axiom":"C3","message":"intersection of '
-                'Subset({n,c,k,a,m,h,b,l,e}) and Subset({e,j,d,g,p,f,i,o}) is not '
+                '[\\"n\\",\\"c\\",\\"k\\",\\"a\\",\\"m\\",\\"h\\",\\"b\\",\\"l\\",\\"e\\"] and '
+                '[\\"e\\",\\"j\\",\\"d\\",\\"g\\",\\"p\\",\\"f\\",\\"i\\",\\"o\\"] is not '
                 'in the family","witness":[["n","c","k","a","m","h","b","l","e"],'
                 '["e","j","d","g","p","f","i","o"]]}\n',
                 id="C3-high-byte",
@@ -182,8 +183,8 @@ class TestCliCommands:
             pytest.param(
                 L16,
                 [*range(1 << 15), *(1 << 15 | m for m in range(1 << 15) if m & 3)],
-                '{"valid":false,"axiom":"C3","message":"intersection of Subset({n,o}) '
-                'and Subset({c,o}) is not in the family","witness":[["n","o"],["c","o"]]}\n',
+                '{"valid":false,"axiom":"C3","message":"intersection of [\\"n\\",\\"o\\"] '
+                'and [\\"c\\",\\"o\\"] is not in the family","witness":[["n","o"],["c","o"]]}\n',
                 id="C3-57344-opens",
             ),
         ],
@@ -191,8 +192,8 @@ class TestCliCommands:
     def test_validate_failure_names_its_witnesses(
         self, elements, masks, out, tmp_path, capsys
     ):
-        """The message prints each witness's repr, the witness field its
-        labels."""
+        """The message writes each witness as a compact JSON array, the
+        witness field as a list of labels."""
         path = write_doc(tmp_path, elements, opens_of(elements, masks))
         assert main(["validate", path]) == 1
         assert capsys.readouterr() == (out, "")
@@ -581,6 +582,37 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "elements, opens, err",
+        [
+            pytest.param(
+                ["\n", "a", "b"],
+                [[], ["\n"], ["a"], ["\n", "a", "b"]],
+                'error: C2 violated: union of ["\\n"] and ["a"] is not in the family\n',
+                id="newline",
+            ),
+            pytest.param(
+                ["a,b", "a", "b", "c"],
+                [[], ["a,b"], ["a", "b"], ["a,b", "a", "b", "c"]],
+                'error: C2 violated: union of ["a,b"] and ["a","b"] is not in the family\n',
+                id="comma",
+            ),
+            pytest.param(
+                ["\ud800", "a", "b"],
+                [[], ["\ud800"], ["a"], ["\ud800", "a", "b"]],
+                'error: C2 violated: union of ["\\ud800"] and ["a"] is not in the family\n',
+                id="lone-surrogate",
+            ),
+        ],
+    )
+    def test_axiom_message_escapes_its_labels(self, elements, opens, err, tmp_path, capsys):
+        """Witness labels are written as in documents: a newline cannot
+        split the one error line, ``a,b`` reads apart from ``a`` and
+        ``b``, and a lone surrogate reaches capsys's strict UTF-8 stderr."""
+        path = write_doc(tmp_path, elements, opens)
+        assert main(["classify", path, "--point", "a"]) == 1
+        assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize(
         "argv, option, raw",
