@@ -63,16 +63,14 @@ def neighborhood_system(t: Topology, x: str) -> SubsetFamily:
     # containing x; it lies inside every other such open, so it is also
     # the numerically smallest.
     base = open_sets_containing(t, x).masks[0]
-    rest = t.ground.full_mask & ~base
-    found = []
-    # iterate all supersets of base, descending: base | (submask of rest)
-    sub = rest
-    while True:
-        found.append(base | sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-    return SubsetFamily._trusted(tuple(reversed(found)), t.ground)
+    full = t.ground.full_mask
+    # Every superset of base, ascending: the next is the least mask
+    # above m that keeps base's bits.
+    found = [m := base]
+    while m != full:
+        m = (m + 1) | base
+        found.append(m)
+    return SubsetFamily._trusted(tuple(found), t.ground)
 
 
 def resolve_issue(t: Topology, x: str) -> SubsetFamily:

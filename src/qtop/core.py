@@ -113,7 +113,7 @@ class GroundSet(Frozen):
     public constructor in this module checks its type's promises; only
     results the code builds itself skip them, through ``_trusted``."""
 
-    __slots__ = ("labels", "_bits", "_low", "_high", "_json")
+    __slots__ = ("labels", "_bits", "_json")
     _fields = ("labels",)
 
     def __init__(self, labels: tuple[str, ...]) -> None:
@@ -132,10 +132,11 @@ class GroundSet(Frozen):
             bits[label] = 1 << len(bits)
         _set(self, "labels", labels)
         _set(self, "_bits", bits)
-        # The labels of each byte value: the low byte's from labels[:8],
-        # the high byte's from labels[8:] (just [()] on 8 points or fewer).
-        _set(self, "_low", _byte_table(labels[:8]))
-        _set(self, "_high", _byte_table(labels[8:]))
+        # The JSON text of each byte value's labels: the low byte's from
+        # labels[:8], the high byte's from labels[8:] (just [""] on 8
+        # points or fewer), each non-empty high entry led by its comma.
+        high = [f",{t}" if t else t for t in _json_table(labels[8:])]
+        _set(self, "_json", (_json_table(labels[:8]), high))
 
     @property
     def size(self) -> int:
@@ -160,26 +161,19 @@ class GroundSet(Frozen):
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        """The labels of ``mask``'s set bits, in bit order: the low
-        byte's labels then the high byte's, two table lookups."""
+        """The labels of ``mask``'s set bits, in bit order."""
         if mask >> len(self.labels):  # a negative mask shifts to -1
             raise _outside_width(mask, self)
-        return self._low[mask & 255] + self._high[mask >> 8]
+        return tuple([label for i, label in enumerate(self.labels) if mask >> i & 1])
 
     def _json_items(self, masks: Iterable[int]) -> list[str]:
         """Each mask's labels as the items of a compact JSON array, the
         text between its brackets: ``json.dumps`` of each label,
         comma-joined, in bit order.  The masks must lie within the
-        width.  Two lookups per mask in the ``_json`` tables, built on
-        first use: the low byte's entries, then the high byte's, each
-        non-empty high entry led by the comma that joins it to a
-        non-empty low entry."""
-        try:
-            low, high = self._json
-        except AttributeError:
-            low = _json_table(self.labels[:8])
-            high = [f",{t}" if t else t for t in _json_table(self.labels[8:])]
-            _set(self, "_json", (low, high))
+        width.  Two lookups per mask in the ``_json`` tables the
+        constructor built: the low byte's entry, then the high byte's,
+        whose leading comma is dropped after an empty low entry."""
+        low, high = self._json
         return [lo + high[m >> 8] if (lo := low[m & 255]) else high[m >> 8][1:] for m in masks]
 
     def _json_array(self, mask: int) -> str:
@@ -192,18 +186,10 @@ class GroundSet(Frozen):
         return error
 
 
-def _byte_table(labels: tuple[str, ...]) -> list[tuple[str, ...]]:
-    """For at most 8 labels: entry m holds the labels of m's set bits, in
-    bit order.  Each label doubles the table."""
-    table: list[tuple[str, ...]] = [()]
-    for label in labels:
-        table += [t + (label,) for t in table]
-    return table
-
-
 def _json_table(labels: tuple[str, ...]) -> list[str]:
-    """``_byte_table`` as JSON text: entry m holds the ``json.dumps`` of
-    the labels of m's set bits, comma-joined."""
+    """For at most 8 labels: entry m holds the ``json.dumps`` of the
+    labels of m's set bits, comma-joined in bit order.  Each label
+    doubles the table."""
     table = [""]
     for text in map(json.dumps, labels):
         table += [f"{t},{text}" if t else text for t in table]

@@ -4,9 +4,9 @@ The empty list denotes the empty set; a valid topology document lists
 both it and the full element list explicitly.  Serialization is
 canonical: opens ascend by bit-vector value, labels follow element
 order, output is compact JSON with stable key order.  Documents are
-joined from JSON text: each label is written with ``json.dumps`` once per
-ground, into the byte tables of ``GroundSet._json_items``, and each
-open's array is two lookups in them.
+joined from JSON text: each label is written with ``json.dumps`` once, as
+its ground is built, into the ground's two byte tables, and each open's
+array is two lookups in them (``GroundSet._json_items``).
 """
 
 from __future__ import annotations

@@ -305,7 +305,7 @@ def test_mask_of_passes_a_label_bug_through():
 
 def test_discrete_document_on_sixteen_shuffled_labels():
     # Every one of the 65536 masks, so bit 15 and every popcount are
-    # written; the digest was taken before labels_of walked set bits.
+    # written.
     g = make_ground_set("nckamhblejdgpfio")
     doc = family_document(SubsetFamily(tuple(range(1 << 16)), g))
     assert (
@@ -335,7 +335,8 @@ def text_families(draw):
 
 
 def json_opens(f):
-    """The opens as ``json.dumps`` wrote them before the fragment tables."""
+    """The opens as label lists, for ``json.dumps``: the reference the
+    fragment tables are held to, read through the bit walk of ``labels_of``."""
     return [f.ground.labels_of(m) for m in f.masks]
 
 

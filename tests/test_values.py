@@ -201,7 +201,7 @@ def test_round_trips(value, round_trip):
 
 
 def test_ground_set_codec_survives_pickle():
-    """Ten labels, so a mask reads both the low and the high byte table."""
+    """Ten labels, so a mask reads both the low and the high JSON table."""
     labels = "pqrstuvwxy"
     for round_trip in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
         g = round_trip(make_ground_set(labels))
@@ -209,20 +209,32 @@ def test_ground_set_codec_survives_pickle():
         assert g.mask_of(["r", "p"]) == 0b101
         assert g.labels_of(0b1100000110) == ("q", "r", "x", "y")
         assert g._bits == {label: 1 << i for i, label in enumerate(labels)}
-        assert len(g._low) == 256
-        assert g._high == [(), ("x",), ("y",), ("x", "y")]
+        assert len(g._json[0]) == 256
+        assert g._json[1] == ["", ',"x"', ',"y"', ',"x","y"']
+        assert g._json_items([0b1100000110]) == ['"q","r","x","y"']
 
 
 def test_ground_set_codec_is_out_of_equality_hash_and_repr():
     g, blanked = ab(), ab()
     assert g._bits == {"a": 1, "b": 2}
-    assert g._low == [(), ("a",), ("b",), ("a", "b")]
-    assert g._high == [()]
-    for slot in ("_bits", "_low", "_high"):
+    assert g._json == (["", '"a"', '"b"', '"a","b"'], [""])
+    for slot in ("_bits", "_json"):
         object.__setattr__(blanked, slot, None)
     assert blanked == g
     assert hash(blanked) == hash(g) == hash(GroundSet(("a", "b")))
     assert repr(blanked) == repr(g) == AB
+
+
+@pytest.mark.parametrize("n", [0, 8, 9, 16])
+def test_ground_set_is_complete_when_its_constructor_returns(n):
+    """Every slot is set by ``__init__``, and using the codec sets none:
+    the JSON tables exist before the first document is written."""
+    g = make_ground_set(f"x{i}" for i in range(n))
+    slots = {slot: getattr(g, slot) for slot in GroundSet.__slots__}
+    assert [len(table) for table in g._json] == [1 << min(n, 8), 1 << max(n - 8, 0)]
+    g.labels_of(g.full_mask)
+    family_document(SubsetFamily.from_masks((0, g.full_mask), g))
+    assert all(getattr(g, slot) is value for slot, value in slots.items())
 
 
 def test_keyword_construction(value):
