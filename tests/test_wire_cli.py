@@ -670,7 +670,10 @@ class TestPinnedOutput:
     to the bytes printed before the label-bit codec moved onto
     ``GroundSet``; the full 5-point enumeration, and one on labels that
     JSON must escape, to the bytes ``json.dumps`` wrote before documents
-    were joined from per-ground fragment tables."""
+    were joined from per-ground fragment tables; ``sequence`` through
+    every point of the 16-point discrete topology, whose sub-grounds
+    cross the 8-label byte boundary of those tables, to the bytes printed
+    while subspaces were still repacked through labels."""
 
     @pytest.mark.parametrize(
         "argv, lines, digest",
@@ -770,12 +773,17 @@ class TestPinnedOutput:
                 29,
                 "d8665d5c2dba0f9b3541086dca3c818b4a480eb90c783fe19b3cb1f23a01302b",
             ),
+            (
+                ["sequence", "{discrete_16}", "--points", ",".join(L16)],
+                1,
+                "97c270a44a537ffe520d9edf415ae7495e561497a212c5e689202a4992869e8c",
+            ),
         ],
     )
-    def test_stdout_digest(self, argv, lines, digest, t_x_file, tmp_path, capsys):
+    def test_stdout_digest(self, argv, lines, digest, t_x_file, discrete_16, tmp_path, capsys):
         wide = tmp_path / "wide.json"
         wide.write_text(WIDE_DOC)
-        argv = [a.format(doc=t_x_file, wide=wide) for a in argv]
+        argv = [a.format(doc=t_x_file, wide=wide, discrete_16=discrete_16) for a in argv]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out.count("\n") == lines
