@@ -101,14 +101,13 @@ def classify_question(t: Topology, x: str) -> ResolutionOutcome:
     return ResolutionOutcome(QuestionType.TYPE_I, result, Subset(carrier, t.ground))
 
 
-def subspace_topology(t: Topology, a: Subset) -> Topology:
-    """Restrict ``t`` to the subset ``a``: intersect every open with ``a``
-    and re-pack bits onto the smaller ground set (labels and their relative
-    order are inherited)."""
-    if a.ground != t.ground:
-        raise ValueError("carrier lies over a different ground set")
-    sub_ground = GroundSet(a.labels())
-    repacked = {sub_ground.mask_of(t.ground.labels_of(m & a.mask)) for m in t.masks}
+def subspace_topology(t: Topology, a: int) -> Topology:
+    """Restrict ``t`` to the points of the mask ``a``: intersect every open
+    with ``a`` and re-pack its bits onto the smaller ground set, bit by
+    bit (labels and their relative order are inherited)."""
+    sub_ground = GroundSet(t.ground.labels_of(a))  # refuses a mask outside the width
+    kept = [i for i in range(t.ground.size) if a >> i & 1]
+    repacked = {sum(1 << j for j, i in enumerate(kept) if m >> i & 1) for m in t.masks}
     return Topology._trusted(tuple(sorted(repacked)), sub_ground)
 
 
@@ -124,5 +123,5 @@ def resolve_sequence(t: Topology, order: list[str]) -> list[ResolutionStep]:
         steps.append(ResolutionStep(x, outcome))
         if outcome.carrier is None:
             break
-        current = subspace_topology(current, outcome.carrier)
+        current = subspace_topology(current, outcome.carrier.mask)
     return steps

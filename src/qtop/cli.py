@@ -108,7 +108,7 @@ def cmd_validate(args) -> list[str]:
                 "valid": False,
                 "axiom": violation.axiom,
                 "message": violation.message,
-                "witness": [w.labels() for w in violation.witnesses],
+                "witness": [w.ground.labels_of(w.mask) for w in violation.witnesses],
             }
         )
     )

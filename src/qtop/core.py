@@ -2,10 +2,12 @@
 
 Every set of assertions is a bitmask over a fixed, ordered ground set:
 label i is bit i, and ``GroundSet.mask_of`` and ``labels_of`` translate
-between the two.  All values are immutable.  A family is its ascending
-tuple of masks, so equality is structural, and all set algebra is done
-on the masks.  A ``Subset`` is only an edge value: a type-1 carrier, a
-subspace's points, or an axiom-violation witness.
+between the two where labels enter or leave: the wire, a point a caller
+names, and the parent embedding.  All values are immutable.  A family
+is its ascending tuple of masks, so equality is structural, and all set
+algebra is done on the masks.  A ``Subset`` is only a record the library
+writes and no function takes: a type-1 carrier or an axiom-violation
+witness.
 """
 
 from __future__ import annotations
@@ -208,8 +210,9 @@ def _outside_width(mask: int, ground: GroundSet) -> ValueError:
 
 
 class Subset(Frozen):
-    """One subset of a ground set, encoded as a bitmask of its width:
-    an edge value that names its labels and prints them."""
+    """One subset of a ground set, encoded as a bitmask of its width: a
+    record the library writes and no function takes, printed as its
+    labels."""
 
     __slots__ = _fields = ("mask", "ground")
 
@@ -218,9 +221,6 @@ class Subset(Frozen):
             raise _outside_width(mask, ground)
         _set(self, "mask", mask)
         _set(self, "ground", ground)
-
-    def labels(self) -> tuple[str, ...]:
-        return self.ground.labels_of(self.mask)
 
     def __repr__(self) -> str:
         return f"Subset({self.ground._json_array(self.mask)})"
@@ -291,9 +291,9 @@ def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
     open ``U_x``, which lies inside every open holding x and so is the
     numerically smallest.  Conversely, the unions of transitive ``V_x``
     are closed under intersection as well as union: every point z of
-    A & B has ``V_z`` within A & B.  Finding the ``V_x`` is one scan that
-    stops once every point is seen, and the union closure stops as soon
-    as it outnumbers the family's k members.
+    A & B has ``V_z`` within A & B.  Finding the ``V_x`` is one scan of
+    the k members, and the union closure stops as soon as it outnumbers
+    them.
 
     Only a family that fails is scanned pairwise, to name the first pair
     (a, b), a < b, union before intersection, whose union (C2) or
@@ -324,8 +324,6 @@ def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
             low = new & -new
             least[low.bit_length() - 1] = m
             new ^= low
-        if not unseen:
-            break
     transitive = all(
         not vy & ~vx for vx in least for i, vy in enumerate(least) if vx >> i & 1
     )

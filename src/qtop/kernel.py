@@ -2,9 +2,11 @@
 
 Depth-first search over families of bitmasks, candidates taken in
 ascending order, include-branch first.  Two prune rules keep every leaf a
-topology: adding a mask whose union/intersection with an earlier member
-was already excluded is a contradiction, and a union demanded by earlier
-members forces inclusion when its turn comes.  Include-first emission
+topology: adding a mask whose intersection with an earlier member was
+already excluded is a contradiction, and a union demanded by earlier
+members forces inclusion when its turn comes.  Only an intersection can
+already have been excluded: it lies below the new mask, whose turn it
+is, while a union is never below it.  Include-first emission
 yields families in ascending lexicographic order of their sorted masks.
 
 A search can be constrained two ways.  ``required`` is a bitset indexed
@@ -49,6 +51,9 @@ def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int,
         s = candidates[i]
         req = required
         ok = True
+        # The guards w != s and w != full, and w and w != u, are there for
+        # speed, not correctness: s's own demand is cleared on inclusion,
+        # the full mask is no candidate, and the empty mask and u are chosen.
         for u in chosen:
             w = s | u
             if w != s and w != full:

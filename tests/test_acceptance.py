@@ -127,8 +127,7 @@ def test_criterion_07_classification_properties():
                     if outcome.kind is QuestionType.TYPE_II:
                         assert outcome.result_family.masks == (0,)
                     else:
-                        carrier = outcome.carrier
-                        sub = subspace_topology(t, carrier)
+                        sub = subspace_topology(t, outcome.carrier.mask)
                         got = {
                             frozenset(g.labels_of(m)) for m in outcome.result_family.masks
                         }
@@ -167,7 +166,7 @@ def test_criterion_09_hereditary_discreteness():
                 outcome = classify_question(t, x)
                 assert outcome.kind is QuestionType.TYPE_I
                 assert outcome.carrier.mask.bit_count() == n - 1
-                sub = subspace_topology(t, outcome.carrier)
+                sub = subspace_topology(t, outcome.carrier.mask)
                 assert len(sub) == 1 << (n - 1)  # discrete again
             steps = resolve_sequence(t, list(g.labels))
             kinds = [s.outcome.kind for s in steps]

@@ -2,7 +2,6 @@ import pytest
 
 from qtop import (
     QuestionType,
-    Subset,
     Topology,
     UnknownLabelError,
     classify_question,
@@ -98,7 +97,7 @@ class TestClassifyQuestion:
     def test_type_one_worked_example(self, t_x, mse_ground):
         outcome = classify_question(t_x, "e")
         assert outcome.kind is QuestionType.TYPE_I
-        assert outcome.carrier.labels() == ("m", "s")
+        assert mse_ground.labels_of(outcome.carrier.mask) == ("m", "s")
         assert outcome.result_family.masks == (0, 1, 3)
 
     def test_type_two_worked_example(self, t_x):
@@ -138,12 +137,12 @@ class TestClassifyQuestion:
                     assert all(m == 0 or m & bit for m in t.masks)
                 else:
                     carrier = outcome.carrier
-                    assert x not in carrier.labels()
+                    assert x not in g.labels_of(carrier.mask)
                     union = 0
                     for m in outcome.result_family.masks:
                         union |= m
                     assert union == carrier.mask
-                    sub = subspace_topology(t, carrier)
+                    sub = subspace_topology(t, carrier.mask)
                     relabeled = {
                         frozenset(g.labels_of(m)) for m in outcome.result_family.masks
                     }
@@ -154,33 +153,40 @@ class TestClassifyQuestion:
 
 class TestSubspaceTopology:
     def test_worked_example_carrier(self, t_x, mse_ground):
-        ms = Subset(mse_ground.mask_of(["m", "s"]), mse_ground)
-        sub = subspace_topology(t_x, ms)
+        sub = subspace_topology(t_x, mse_ground.mask_of(["m", "s"]))
         assert sub.ground.labels == ("m", "s")
         assert sub.masks == (0, 1, 3)
 
     def test_full_carrier_is_identity(self, t_x, mse_ground):
-        sub = subspace_topology(t_x, Subset(mse_ground.full_mask, mse_ground))
+        sub = subspace_topology(t_x, mse_ground.full_mask)
         assert sub.masks == t_x.masks
 
-    def test_empty_carrier(self, t_x, mse_ground):
-        sub = subspace_topology(t_x, Subset(0, mse_ground))
+    def test_empty_carrier(self, t_x):
+        sub = subspace_topology(t_x, 0)
         assert sub.ground.size == 0
         assert sub.masks == (0,)
 
-    def test_carrier_over_another_ground_rejected(self, t_x, ms_ground):
+    @pytest.mark.parametrize("mask", [8, -1])
+    def test_mask_outside_the_width_rejected(self, t_x, mask):
         with pytest.raises(ValueError) as e:
-            subspace_topology(t_x, Subset(ms_ground.mask_of(["m"]), ms_ground))
-        assert str(e.value) == "carrier lies over a different ground set"
+            subspace_topology(t_x, mask)
+        assert str(e.value) == f"mask {mask:#x} has bits outside ground width 3"
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_every_subspace_is_a_topology(self, n):
+        """Every mask restricts every topology on n points to a topology,
+        the same as the route through labels: the carrier's labels, and
+        each open met with the carrier, by its labels."""
         g = ground_of(n)
         for t in all_topologies(n):
             for mask in range(g.full_mask + 1):
-                sub = subspace_topology(t, Subset(mask, g))
+                sub = subspace_topology(t, mask)
                 ok, violation = is_topology(sub.family)
                 assert ok, violation
+                assert sub.ground.labels == g.labels_of(mask)
+                assert {sub.ground.labels_of(m) for m in sub.masks} == {
+                    g.labels_of(m & mask) for m in t.masks
+                }
 
 
 class TestResolveSequence:
@@ -189,14 +195,15 @@ class TestResolveSequence:
         steps = resolve_sequence(t, ["m"])
         assert len(steps) == 1
         assert steps[0].outcome.kind is QuestionType.TYPE_I
-        assert steps[0].outcome.carrier.labels() == ("s", "e")
+        assert mse_ground.labels_of(steps[0].outcome.carrier.mask) == ("s", "e")
         assert len(steps[0].outcome.result_family) == 4  # discrete on 2 points
 
     def test_discrete_two_steps(self, mse_ground):
         t = Topology.discrete(mse_ground)
         steps = resolve_sequence(t, ["m", "s"])
         assert [s.outcome.kind for s in steps] == [QuestionType.TYPE_I, QuestionType.TYPE_I]
-        assert steps[1].outcome.carrier.labels() == ("e",)
+        carrier = steps[1].outcome.carrier  # over the subspace's ground
+        assert carrier.ground.labels_of(carrier.mask) == ("e",)
         assert len(steps[1].outcome.result_family) == 2
 
     def test_stops_at_type_two(self, t_x):

@@ -399,8 +399,7 @@ class TestConstructionRule:
         assert len(list(parent_questions(on_two, g3))) > 0
         assert negation_question(t_x).masks == (0, 2, 4, 6, 7)
         assert generated_topology(generators).masks == (0, 1, 6, 7)
-        ms = Subset(mse_ground.mask_of("ms"), mse_ground)
-        assert subspace_topology(t_x, ms).masks == (0, 1, 3)
+        assert subspace_topology(t_x, mse_ground.mask_of("ms")).masks == (0, 1, 3)
         assert len(resolve_sequence(t_x, ["e", "s"])) == 2
         assert len(Topology.discrete(g3)) == 8
         assert Topology.indiscrete(g3).masks == (0, 7)

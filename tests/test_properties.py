@@ -197,7 +197,7 @@ def test_each_step_holds_the_outcome_on_its_subspace(tx, data):
     for s in steps:
         assert s.outcome == classify_question(current, s.point)
         if s.outcome.kind is QuestionType.TYPE_I:
-            current = subspace_topology(current, s.outcome.carrier)
+            current = subspace_topology(current, s.outcome.carrier.mask)
         else:
             assert s is steps[-1]
     assert len(steps) == len(order) or steps[-1].outcome.kind is not QuestionType.TYPE_I
@@ -343,7 +343,7 @@ def json_opens(f):
 def json_outcome(o):
     obj = {"kind": o.kind.value}
     if o.carrier is not None:
-        obj["carrier"] = o.carrier.labels()
+        obj["carrier"] = o.carrier.ground.labels_of(o.carrier.mask)
     obj["opens"] = json_opens(o.result_family)
     return obj
 
