@@ -662,6 +662,13 @@ WIDE_DOC = json.dumps(
 )
 
 
+def pinned(number, argv, lines, digest):
+    """A pinned case whose test id is fixed by its own number, in the form
+    pytest gave it when the ids were positional, so that a case inserted
+    anywhere renames no other test.  A new case takes the next number."""
+    return pytest.param(argv, lines, digest, id=f"argv{number}-{lines}-{digest}")
+
+
 class TestPinnedOutput:
     """Stdout pinned by sha256: the constrained searches to the bytes the
     unconstrained filter-after-enumerate search printed, the census,
@@ -678,102 +685,122 @@ class TestPinnedOutput:
     @pytest.mark.parametrize(
         "argv, lines, digest",
         [
-            (
+            pinned(
+                0,
                 ["definite", "--n", "5", "--point", "x2"],
                 500,
                 "90bff8baa6588e965cf4f7e13784e122959a3ed1af78fb78a1f655aa563b92ab",
             ),
-            (
+            pinned(
+                1,
                 ["definite", "--n", "4", "--point", "x0"],
                 45,
                 "b9e5331a08b71e0ad04e0ea6cfb711637a9c49800cfb8b69d271a66f5a3c16b5",
             ),
-            (
+            pinned(
+                2,
                 ["parents", "{doc}", "--superset", "m,s,e,a,b"],
                 340,
                 "18ee99da8040c88ec604835f785a5d517005cce2509481498deec7a529465f74",
             ),
-            (
+            pinned(
+                3,
                 ["parents", "{doc}", "--superset", "m,s,e,a,b", "--limit", "1"],
                 1,
                 "d90fc7250fc87b4d6e1f827d08f7055cdff8352d706dabe22e28177a9b096c67",
             ),
-            (
+            pinned(
+                4,
                 ["parents", "{doc}", "--superset", "m,s,e,a,b", "--limit", "0"],
                 0,
                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             ),
-            (
+            pinned(
+                5,
                 ["enumerate", "--n", "5", "--census"],
                 1,
                 "a221d85ec0570821fa370737ca58daea4673df48c4db9708de35bb5ab28b5ee6",
             ),
-            (
+            pinned(
+                6,
                 ["enumerate", "--n", "4", "--census", "--labels", "d,b,a,c"],
                 1,
                 "9690ed94b47fdcf6c8187c80adf752e831d9acffe2450ea1c0be7fca6dddd91b",
             ),
-            (
+            pinned(
+                7,
                 ["negate", "{doc}"],
                 1,
                 "0c46188abf38a45e498d1b27964f6f24286e2669fcddd964d71901a54e583305",
             ),
-            (
+            pinned(
+                8,
                 ["agree", "{doc}"],
                 1,
                 "016ad64f58b98cc35d70acb40e0df53ddba3b9b7470cd4acbff2f1d3abb5d1a1",
             ),
-            (
+            pinned(
+                9,
                 ["classify", "{doc}", "--point", "e"],
                 1,
                 "f507f46ad41190ced349a5b39a112d943f9e2f24c2caa4a79d75a0d4d51e03b5",
             ),
-            (
+            pinned(
+                10,
                 ["classify", "{doc}", "--point", "m"],
                 1,
                 "1ee6c244392bae561c4afa34241573f0fe83692f8b192eadc7fb74e6541c2d22",
             ),
-            (
+            pinned(
+                11,
                 ["resolve", "{doc}", "--point", "e"],
                 1,
                 "b004dc2cb5e02cc7a561ecdac9dbb05b46a2447712cb6d4688e41d4a14cd3395",
             ),
-            (
+            pinned(
+                12,
                 ["sequence", "{doc}", "--points", "e,s"],
                 1,
                 "58fd62bcc33834484622b26d96b4062f39b7feecb799037aca3dd03dbdfb47da",
             ),
-            (
+            pinned(
+                13,
                 ["clopen", "{doc}"],
                 1,
                 "3d791b4aed7ef58a8a2413fbf938e223058f2d7005511eea47587952497b9d50",
             ),
-            (
+            pinned(
+                14,
                 ["negate", "{wide}"],
                 1,
                 "be65618090d44199fa6b221f6cad5b6e8374edca519a0c48f2dd35238517311c",
             ),
-            (
+            pinned(
+                15,
                 ["sequence", "{wide}", "--points", "g,k,a,n"],
                 1,
                 "bb23bf381125236a86e99a013e8cd27a11e20c4faaf45d4899ce1d53b1f7ea15",
             ),
-            (
+            pinned(
+                16,
                 ["parents", "{doc}", "--superset", "b,e,a,s,m"],
                 340,
                 "ff0cef29e443cdea016e777847b2506fe0d55fe987ff505f6e5b14831eb4c3fe",
             ),
-            (
+            pinned(
+                17,
                 ["enumerate", "--n", "5"],
                 6942,
                 "beaf9b853e5daedc9ac871052b64f56c26b0b3f557627591916aadd87103f2fb",
             ),
-            (
+            pinned(
+                18,
                 ["enumerate", "--n", "3", "--labels", 'q"uote,back\\slash,\u00e9'],
                 29,
                 "d8665d5c2dba0f9b3541086dca3c818b4a480eb90c783fe19b3cb1f23a01302b",
             ),
-            (
+            pinned(
+                19,
                 ["sequence", "{discrete_16}", "--points", ",".join(L16)],
                 1,
                 "97c270a44a537ffe520d9edf415ae7495e561497a212c5e689202a4992869e8c",
