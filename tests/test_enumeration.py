@@ -127,6 +127,31 @@ class TestConstrainedKernel:
         assert kernel.topology_masks(n, point=1 << n) == []
         assert found > (n + 1) * len(requireds) // 4
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_matches_the_oracle_filtered_by_the_definition(self, n):
+        """Each search, with no point and with every point, on seeded
+        sparse ``required`` bitsets, in order against the brute-force
+        families that hold every required mask and whose every non-empty
+        open contains the point."""
+        full = (1 << n) - 1
+        rng = random.Random(100 + n)
+        requireds = [0]
+        for _ in range(40):
+            sparse = [rng.getrandbits(full + 1) for _ in range(3)]
+            requireds.append(sparse[0] & sparse[1] & sparse[2])
+        found = 0
+        for point in [0, *(1 << i for i in range(n))]:
+            for required in requireds:
+                needed = {m for m in range(full + 1) if required >> m & 1}
+                expected = [
+                    f
+                    for f in oracle_families(n)
+                    if needed <= set(f) and all(m & point == point for m in f if m)
+                ]
+                assert kernel.topology_masks(n, required, point) == expected
+                found += bool(expected)
+        assert found > (n + 1) * len(requireds) // 4
+
     @pytest.mark.parametrize("n", [-1, 6])
     def test_size_outside_the_kernel_range(self, n):
         with pytest.raises(ValueError) as e:
@@ -135,12 +160,14 @@ class TestConstrainedKernel:
 
     def test_the_search_leaves_no_reference_cycle(self):
         """Its result is freed with its last reference, not at the next
-        garbage collection."""
+        garbage collection, with and without constraints."""
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()
         try:
             kernel.topology_masks(3)
+            assert gc.collect() == 0
+            assert kernel.topology_masks(3, required=1 << 0b011, point=0b001)
             assert gc.collect() == 0
         finally:
             if enabled:
