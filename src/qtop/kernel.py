@@ -9,6 +9,12 @@ already have been excluded: it lies below the new mask, whose turn it
 is, while a union is never below it.  Include-first emission
 yields families in ascending lexicographic order of their sorted masks.
 
+Only an include recurses, since only an include makes a new family: a
+frame loops over the remaining candidates, excluding one is the next turn
+of its loop, and the family is a leaf when the loop runs out.  The
+intersection rule is tested first, so an include it refuses computes no
+union demands.
+
 A search can be constrained two ways.  ``required`` is a bitset indexed
 by mask value that seeds the set of forced masks, so the exclude branch
 is refused at each required mask's turn.  A non-zero ``point`` mask must
@@ -45,27 +51,30 @@ def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int,
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, chosen: tuple[int, ...], chosen_bits: int, required: int) -> None:
-        if i == last:
-            out.append((0, *chosen, full))
-            return
-        s = candidates[i]
-        req = required
-        ok = True
-        # The guards w != s and w != full, and w and w != u, are there for
-        # speed, not correctness: s's own demand is cleared on inclusion,
-        # the full mask is no candidate, and the empty mask and u are chosen.
-        for u in chosen:
-            w = s | u
-            if w != s and w != full:
-                req |= 1 << w
-            w = s & u
-            if w and w != u and not (chosen_bits >> w) & 1:
-                ok = False
-                break
-        if ok:
-            rec(i + 1, chosen + (s,), chosen_bits | (1 << s), req & ~(1 << s))
-        if not (required >> s) & 1:
-            rec(i + 1, chosen, chosen_bits, required)
+        # One turn per node: s is included by the recursive call and
+        # excluded by the next turn, which holds the same family; a
+        # required s ends the frame instead.
+        while i < last:
+            s = candidates[i]
+            i += 1
+            # The guards w and w != u, and w != s and w != full below, are
+            # for speed, not correctness: the empty mask and u are chosen,
+            # s's own demand is cleared on inclusion, and the full mask is
+            # no candidate.
+            for u in chosen:
+                w = s & u
+                if w and w != u and not (chosen_bits >> w) & 1:
+                    break
+            else:
+                req = required
+                for u in chosen:
+                    w = s | u
+                    if w != s and w != full:
+                        req |= 1 << w
+                rec(i, chosen + (s,), chosen_bits | (1 << s), req & ~(1 << s))
+            if (required >> s) & 1:
+                return
+        out.append((0, *chosen, full))
 
     rec(0, (), 1, required)
     del rec  # rec holds itself through its closure cell: free it now, not at a GC
