@@ -1,11 +1,13 @@
 """Command-line surface.  Each ``cmd_*`` handler maps its parsed
-arguments to the documents it outputs; ``main`` writes them, one
-``print`` each, and owns the exit status: 0 success, 1 domain/validation
-failure, 2 parse/usage error, 141 stdout closed by its reader."""
+arguments to the documents it outputs; ``main`` runs the handler its
+subcommand names, writes the documents, one ``print`` each, and owns the
+exit status: 0 success, 1 domain/validation failure, 2 parse/usage
+error, 141 stdout closed by its reader."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections.abc import Iterable
@@ -178,6 +180,7 @@ def cmd_efficiency(args) -> list[str]:
     return [dumps({"eliminated": elimination_efficiency(_topology(args), args.point)})]
 
 
+@functools.cache  # built once per process: building it takes about 2 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtop",
@@ -193,50 +196,48 @@ def build_parser() -> argparse.ArgumentParser:
     n = argparse.ArgumentParser(add_help=False)
     n.add_argument("--n", type=_non_negative, required=True)
 
-    def add(name, func, help, *shared):
-        p = sub.add_parser(name, help=help, parents=shared)
-        p.set_defaults(func=func)
-        return p
+    def add(name, help, *shared):
+        return sub.add_parser(name, help=help, parents=shared)
 
-    add("validate", cmd_validate, "check the topology axioms of a document", file)
-    add("classify", cmd_classify, "three-way classification of a question", file, point)
-    add("resolve", cmd_resolve, "raw elimination family T - N(x)", file, point)
+    add("validate", "check the topology axioms of a document", file)
+    add("classify", "three-way classification of a question", file, point)
+    add("resolve", "raw elimination family T - N(x)", file, point)
 
-    p = add("sequence", cmd_sequence, "iterated elimination chain", file)
+    p = add("sequence", "iterated elimination chain", file)
     p.add_argument("--points", type=_points, required=True, metavar="L1,L2,...")
 
-    add("negate", cmd_negate, "negation question document", file)
-    add("clopen", cmd_clopen, "clopen family of a question", file)
-    add("agree", cmd_agree, "machine/anti-machine agreement and sigma-field verdict", file)
-    add("sigma", cmd_sigma, "sigma-field predicate on the raw family", file)
+    add("negate", "negation question document", file)
+    add("clopen", "clopen family of a question", file)
+    add("agree", "machine/anti-machine agreement and sigma-field verdict", file)
+    add("sigma", "sigma-field predicate on the raw family", file)
 
-    p = add("enumerate", cmd_enumerate, "stream all questions on n points", n)
+    p = add("enumerate", "stream all questions on n points", n)
     p.add_argument("--labels", type=_points, metavar="L1,L2,...")
     report = p.add_mutually_exclusive_group()
     report.add_argument("--count-only", action="store_true")
     report.add_argument("--census", action="store_true")
 
-    p = add("definite", cmd_definite, "questions with a definite answer for a point", n, point)
+    p = add("definite", "questions with a definite answer for a point", n, point)
     p.add_argument("--labels", type=_points, metavar="L1,L2,...")
 
-    p = add("parents", cmd_parents, "questions on a superset containing this one", file)
+    p = add("parents", "questions on a superset containing this one", file)
     p.add_argument("--superset", type=_points, required=True, metavar="L1,L2,...")
     p.add_argument("--limit", type=_non_negative)
 
-    add("efficiency", cmd_efficiency, "assertions eliminated by one resolution", file, point)
+    add("efficiency", "assertions eliminated by one resolution", file, point)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)  # --help and --version exit here
+            args = build_parser().parse_args(argv)  # --help and --version exit here
+            handler = globals()[f"cmd_{args.command}"]  # looked up at call time
             # One print per document, not one joined write: on an unbuffered
             # stdout a large write that a closed pipe cuts short is dropped
             # without an error, and only print's own "\n" write raises.
-            for document in args.func(args):
+            for document in handler(args):
                 print(document)
             return 0
         except _Invalid as e:
