@@ -81,6 +81,24 @@ class TestEnumerate:
         with pytest.raises(SizeLimitError):
             count_topologies(6)
 
+    def test_count_of_a_negative_size_raises(self):
+        with pytest.raises(ValueError):
+            count_topologies(-1)
+
+    @pytest.mark.parametrize("n", KNOWN_COUNTS)
+    def test_kernel_count_is_the_length_of_its_search(self, n):
+        assert kernel.count_topology_masks(n) == len(kernel.topology_masks(n))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_kernel_count_matches_the_brute_force_oracle(self, n):
+        assert kernel.count_topology_masks(n) == len(oracle_families(n))
+
+    @pytest.mark.parametrize("n", [-1, 6])
+    def test_kernel_count_outside_the_kernel_range(self, n):
+        with pytest.raises(ValueError) as e:
+            kernel.count_topology_masks(n)
+        assert str(e.value) == f"enumeration supports 0 <= n <= 5, got {n}"
+
 
 class TestConstrainedKernel:
     """A constrained search returns exactly the full stream filtered by
