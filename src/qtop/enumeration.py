@@ -61,9 +61,11 @@ def count_topologies(n: int) -> int:
 
 
 def enumeration_report(ground: GroundSet) -> EnumerationReport:
-    """Census of every topology on ``ground`` from two kernel searches and
-    a Bell number, with no per-topology work.
+    """Census of every topology on ``ground`` from A000798, one
+    constrained kernel search and a Bell number, with no per-topology
+    work.
 
+    - The count is A000798(n), read from the kernel's table.
     - Every point has the same tally.  A permutation of the points maps
       the topologies on ``ground`` one-to-one onto themselves and carries
       the type of x to the type of its image, so one point's tally serves
