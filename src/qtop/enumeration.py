@@ -8,7 +8,7 @@ import sys
 from collections.abc import Iterator
 
 from . import kernel
-from .calculus import QuestionType, classify_question
+from .calculus import QuestionType, resolve_issue
 from .core import Frozen, GroundSet, SizeLimitError, Topology
 
 __all__ = [
@@ -120,7 +120,7 @@ def elimination_efficiency(t: Topology, x: str) -> int:
     """Assertions eliminated by resolving ``x`` once: the points outside
     the largest open left, so the whole space for a definite answer, and
     nothing for an irrelevant point, which leaves no open."""
-    left = classify_question(t, x).result_family.masks
+    left = resolve_issue(t, x).masks
     return t.ground.size - left[-1].bit_count() if left else 0
 
 

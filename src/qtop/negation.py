@@ -9,6 +9,8 @@ family is a sigma-field.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .core import Frozen, SubsetFamily, Topology, is_topology
 
 __all__ = [
@@ -43,15 +45,12 @@ def negation_question(t: Topology) -> Topology:
 
 def clopen_sets(t: Topology) -> SubsetFamily:
     """Opens whose complement is also open: the shared information."""
-    full = t.ground.full_mask
-    present = set(t.masks)
+    complements = set(_complements(t))
     # A filter of an ascending tuple is ascending: nothing to check.
-    return SubsetFamily._trusted(
-        tuple(m for m in t.masks if full & ~m in present), t.ground
-    )
+    return SubsetFamily._trusted(tuple(m for m in t.masks if m in complements), t.ground)
 
 
-def machines_agree(t: Topology) -> bool:
+def machines_agree(t: SubsetFamily) -> bool:
     """True iff the question equals its negation: every member clopen.
     O(k): the reversed complements against the masks, no negation built."""
     return _complements(t) == t.masks
@@ -63,7 +62,7 @@ def is_sigma_field(f: SubsetFamily) -> bool:
 
     Under complement closure the empty set brings the full set and union
     closure brings intersection closure, so the rest is the axiom check."""
-    return _complements(f) == f.masks and is_topology(f)[0]
+    return machines_agree(f) and is_topology(f)[0]
 
 
 def make_machine_pair(t: Topology) -> MachinePair:
@@ -71,11 +70,9 @@ def make_machine_pair(t: Topology) -> MachinePair:
     return MachinePair(t, negation, clopen_sets(t), negation == t)
 
 
-def atomic_machine_census(topologies: list[Topology]) -> list[MachinePair]:
+def atomic_machine_census(topologies: Iterable[Topology]) -> list[MachinePair]:
     """Pair each question with its negation and flag the self-dual ones."""
-    if topologies:
-        ground = topologies[0].ground
-        for t in topologies:
-            if t.ground != ground:
-                raise ValueError("census requires one common ground set")
+    topologies = list(topologies)
+    if len({t.ground for t in topologies}) > 1:
+        raise ValueError("census requires one common ground set")
     return [make_machine_pair(t) for t in topologies]

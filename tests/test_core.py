@@ -299,6 +299,12 @@ class TestMakeTopology:
         t = make_topology(SubsetFamily.from_masks([0, 7], mse_ground))
         assert t.masks == (0, 7)
 
+    def test_indiscrete_on_the_empty_ground_is_the_one_enumerated(self):
+        # On no points the empty set is the full set: one open, not two.
+        g = ground_of(0)
+        assert Topology.indiscrete(g).masks == (0,)
+        assert list(enumerate_topologies(g)) == [Topology.indiscrete(g)]
+
     def test_violation_carries_report(self, ms_ground):
         with pytest.raises(TopologyError) as exc:
             make_topology(SubsetFamily.from_masks([1, 2], ms_ground))

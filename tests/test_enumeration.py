@@ -294,8 +294,8 @@ class TestEnumerationReport:
         def refuse(*args, **kwargs):
             raise AssertionError("the census must not call this")
 
-        for module in (qtop.calculus, qtop.enumeration):
-            monkeypatch.setattr(module, "classify_question", refuse)
+        monkeypatch.setattr(qtop.calculus, "classify_question", refuse)
+        monkeypatch.setattr(qtop.enumeration, "resolve_issue", refuse)
         monkeypatch.setattr(qtop.negation, "negation_question", refuse)
         monkeypatch.setattr(qtop.core.SubsetFamily, "__init__", refuse)
         # The one unchecked builder, a classmethod: Topology finds it here.

@@ -4,6 +4,7 @@ from qtop import (
     Topology,
     atomic_machine_census,
     clopen_sets,
+    enumerate_topologies,
     is_sigma_field,
     is_topology,
     machines_agree,
@@ -165,3 +166,13 @@ class TestAtomicMachineCensus:
             atomic_machine_census(
                 [Topology.indiscrete(ms_ground), Topology.indiscrete(mse_ground)]
             )
+
+    def test_same_size_grounds_with_other_labels_rejected(self):
+        ab, ac = make_ground_set(("a", "b")), make_ground_set(("a", "c"))
+        with pytest.raises(ValueError, match="common ground"):
+            atomic_machine_census([Topology.indiscrete(ab), Topology.indiscrete(ac)])
+
+    def test_takes_a_generator_whole(self):
+        g = ground_of(3)
+        census = atomic_machine_census(enumerate_topologies(g))
+        assert [p.question for p in census] == list(enumerate_topologies(g))
