@@ -255,8 +255,8 @@ class SubsetFamily(Frozen):
         strictly ascending and within ``ground``'s width, and for a
         ``Topology`` also C1-C3."""
         family = object.__new__(cls)
-        _set(family, "masks", masks)
-        _set(family, "ground", ground)
+        _set_masks(family, masks)
+        _set_ground(family, ground)
         return family
 
     @classmethod
@@ -265,6 +265,12 @@ class SubsetFamily(Frozen):
 
     def __len__(self) -> int:
         return len(self.masks)
+
+
+# The slot descriptors' setters, bound once: ``_trusted`` fills a family
+# without looking up ``object.__setattr__`` and the slot by name.
+_set_masks = SubsetFamily.masks.__set__
+_set_ground = SubsetFamily.ground.__set__
 
 
 class AxiomViolation(Frozen):

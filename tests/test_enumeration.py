@@ -181,6 +181,58 @@ class TestConstrainedKernel:
                 found += bool(expected)
         assert found > (n + 1) * len(requireds) // 4
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_points_of_any_width(self, n):
+        """Every point mask for n <= 4 and a seeded few of two or more
+        bits at n = 5, each on seeded sparse ``required`` bitsets: most
+        drawn among the masks that contain the point, with and without
+        the point's own bit, and one drawn among all masks.  In order
+        against the full stream filtered by both constraints and, for
+        n <= 4, against the brute-force families filtered by the
+        definition."""
+        full = (1 << n) - 1
+        ends = 1 | 1 << full
+        stream = kernel.topology_masks(n)
+        rng = random.Random(200 + n)
+        if n <= 4:
+            points = range(1, full + 1)
+        else:
+            points = rng.sample([p for p in range(1, full) if p.bit_count() > 1], 6)
+        found = 0
+        for point in points:
+            above = sum(1 << m for m in range(full + 1) if m & point == point)
+            requireds = [0, 1 << point, rng.getrandbits(full + 1) & rng.getrandbits(full + 1)]
+            for _ in range(6):
+                sparse = [rng.getrandbits(full + 1) for _ in range(2)]
+                required = sparse[0] & sparse[1] & above & ~(1 << point)
+                requireds += [required, required | 1 << point]
+            sources = [stream, oracle_families(n)] if n <= 4 else [stream]
+            for families in sources:
+                held = [(f, sum(1 << m for m in f)) for f in families if all(m & point == point for m in f[1:])]
+                for required in requireds:
+                    inner = required & ~ends
+                    expected = [f for f, bits in held if bits & inner == inner]
+                    assert kernel.topology_masks(n, required, point) == expected
+                    found += bool(expected)
+        assert found > len(sources) * len(points) * len(requireds) // 2
+
+    def test_a_point_on_the_empty_ground_holds_vacuously(self):
+        """The empty ground has no non-empty open, so any point lies in
+        every one: the one topology, (0,), is the whole result."""
+        assert kernel.topology_masks(0, point=1) == [(0,)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_a_required_mask_off_the_ground_gives_nothing(self, n):
+        """A bit above the full mask names no set on n points, so no
+        topology holds it, as none holds an off-ground point; the full
+        mask's own bit is ignored."""
+        full = (1 << n) - 1
+        assert kernel.topology_masks(n, required=1 << full) == kernel.topology_masks(n)
+        assert kernel.topology_masks(n, required=1 << full + 1) == []
+        assert kernel.topology_masks(n, required=1 << full | 1 << 40) == []
+        assert kernel.topology_masks(n, required=1 << full + 1, point=full) == []
+        assert kernel.topology_masks(2, required=1 << 7) == []
+
     @pytest.mark.parametrize("n", [-1, 6])
     def test_size_outside_the_kernel_range(self, n):
         with pytest.raises(ValueError) as e:

@@ -38,6 +38,14 @@ MUTANTS = [
     ("negation.py", "machines_agree(f) and is_topology(f)[0]", "machines_agree(f)"),
     # The smallest open left (always the empty set) in place of the largest.
     ("enumeration.py", "left[-1].bit_count()", "left[0].bit_count()"),
+    # The point search returns only the families that hold the point.
+    ("kernel.py", "    out += without\n", ""),
+    # The families without the point kept exactly where two opens meet in it.
+    ("kernel.py", "meet != point", "meet == point"),
+    # A required point ignored: the families without it emitted all the same.
+    ("kernel.py", "lean = point != 0 and not required >> point & 1", "lean = point != 0"),
+    # A required mask off the ground ignored, as if never asked for.
+    ("kernel.py", "    if required >> full + 1:\n        return []\n", ""),
 ]
 
 
