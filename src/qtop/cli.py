@@ -12,7 +12,7 @@ import os
 import sys
 from collections.abc import Iterable
 
-from . import __version__
+from . import __version__, kernel
 from .calculus import classify_question, resolve_issue, resolve_sequence
 from .core import (
     GroundSet,
@@ -27,7 +27,6 @@ from .core import (
     make_topology,
 )
 from .enumeration import (
-    _check_size,
     count_topologies,
     enumerate_topologies,
     enumeration_report,
@@ -88,7 +87,7 @@ def _points(raw: str) -> list[str]:
 
 
 def _ground(args) -> GroundSet:
-    _check_size(args.n)  # before any label is made: n may be huge
+    kernel.check_size(args.n)  # before any label is made: n may be huge
     names = args.labels or [f"x{i}" for i in range(args.n)]
     if len(names) != args.n:
         raise GroundSetError(f"--labels names {len(names)} elements, --n is {args.n}")

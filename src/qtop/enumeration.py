@@ -9,7 +9,7 @@ from collections.abc import Iterator
 
 from . import kernel
 from .calculus import QuestionType, resolve_issue
-from .core import Frozen, GroundSet, SizeLimitError, Topology
+from .core import Frozen, GroundSet, Topology
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -23,14 +23,6 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = kernel.MAX_N
-
-
-def _check_size(n: int) -> None:
-    if n > ENUMERATION_LIMIT:
-        raise SizeLimitError(
-            f"enumeration limited to ground sets of at most {ENUMERATION_LIMIT} "
-            f"elements, got {n}"
-        )
 
 
 class EnumerationReport(Frozen):
@@ -49,14 +41,12 @@ class EnumerationReport(Frozen):
 def enumerate_topologies(ground: GroundSet) -> Iterator[Topology]:
     """Every topology on ``ground`` exactly once, in ascending canonical
     order of the family encoding."""
-    _check_size(ground.size)
     # Kernel tuples are strictly ascending and in range: no checks.
     for masks in kernel.topology_masks(ground.size):
         yield Topology._trusted(masks, ground)
 
 
 def count_topologies(n: int) -> int:
-    _check_size(n)
     return kernel.count_topology_masks(n)
 
 
@@ -111,7 +101,6 @@ def _bell(n: int) -> int:
 def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:
     """Topologies whose every non-empty open contains ``x``: asking them
     resolves the whole space in one step."""
-    _check_size(ground.size)
     for masks in kernel.topology_masks(ground.size, point=ground.mask_of((x,))):
         yield Topology._trusted(masks, ground)
 
@@ -129,7 +118,10 @@ def parent_questions(
 ) -> Iterator[Topology]:
     """Topologies on the larger ground set containing every open of ``t``
     (re-embedded by label identity)."""
-    _check_size(superset_ground.size)
+    # Size before labels: ``qtop parents`` builds the superset's ground
+    # from its labels before this runs, so a superset both too large and
+    # missing a label still reports its size.
+    kernel.check_size(superset_ground.size)
     required = sum(
         1 << superset_ground.mask_of(t.ground.labels_of(m)) for m in t.masks
     )

@@ -45,6 +45,8 @@ definite answer at x passes x's mask as ``point``.
 
 from __future__ import annotations
 
+from .core import SizeLimitError
+
 MAX_N = 5
 # The number of topologies on n points for n = 0 .. MAX_N: OEIS A000798,
 # first computed by Evans, Harary and Lynn (CACM 1967).  The tests named
@@ -52,9 +54,12 @@ MAX_N = 5
 A000798 = (1, 1, 4, 29, 355, 6942)
 
 
-def _check_n(n: int) -> None:
+def check_size(n: int) -> None:
+    """The one size check of every enumeration entry, library or CLI."""
     if not 0 <= n <= MAX_N:
-        raise ValueError(f"enumeration supports 0 <= n <= {MAX_N}, got {n}")
+        raise SizeLimitError(
+            f"enumeration limited to ground sets of at most {MAX_N} elements, got {n}"
+        )
 
 
 def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int, ...]]:
@@ -64,7 +69,7 @@ def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int,
     of the empty and the full mask are ignored: every topology holds
     both.  A bit above the full mask names no set on n points, so no
     topology holds it."""
-    _check_n(n)
+    check_size(n)
     full = (1 << n) - 1
     if required >> full + 1:
         return []
@@ -124,5 +129,5 @@ def count_topology_masks(n: int) -> int:
     ``test_kernel_count_matches_the_brute_force_oracle`` to the
     brute-force families for n <= 4.  The range check comes first, so a
     negative n never indexes the table from its end."""
-    _check_n(n)
+    check_size(n)
     return A000798[n]

@@ -24,6 +24,7 @@ from qtop import kernel
 from conftest import all_topologies, ground_of, oracle_families
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
+LIMIT_MESSAGE = "enumeration limited to ground sets of at most 5 elements, got {}"
 # Bell numbers, OEIS A000110: the set partitions of n points.
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
 
@@ -83,8 +84,9 @@ class TestEnumerate:
             count_topologies(6)
 
     def test_count_of_a_negative_size_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeLimitError) as e:
             count_topologies(-1)
+        assert str(e.value) == LIMIT_MESSAGE.format(-1)
 
     @pytest.mark.parametrize("n", KNOWN_COUNTS)
     def test_kernel_count_is_the_length_of_its_search(self, n):
@@ -96,9 +98,9 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", [-1, 6])
     def test_kernel_count_outside_the_kernel_range(self, n):
-        with pytest.raises(ValueError) as e:
+        with pytest.raises(SizeLimitError) as e:
             kernel.count_topology_masks(n)
-        assert str(e.value) == f"enumeration supports 0 <= n <= 5, got {n}"
+        assert str(e.value) == LIMIT_MESSAGE.format(n)
 
 
 class TestConstrainedKernel:
@@ -235,9 +237,9 @@ class TestConstrainedKernel:
 
     @pytest.mark.parametrize("n", [-1, 6])
     def test_size_outside_the_kernel_range(self, n):
-        with pytest.raises(ValueError) as e:
+        with pytest.raises(SizeLimitError) as e:
             kernel.topology_masks(n)
-        assert str(e.value) == f"enumeration supports 0 <= n <= 5, got {n}"
+        assert str(e.value) == LIMIT_MESSAGE.format(n)
 
     def test_the_search_leaves_no_reference_cycle(self):
         """Its result is freed with its last reference, not at the next
@@ -441,3 +443,12 @@ class TestParentQuestions:
             UnknownLabelError, match=r"^label 'q' is not in ground set \['m', 's'\]$"
         ):
             list(parent_questions(Topology.indiscrete(g), ms_ground))
+
+    @pytest.mark.parametrize("labels", ["m,s,a,b,c,d", "s,a,b,c,d,e"])
+    def test_superset_over_the_size_limit_raises(self, labels):
+        """The size is checked before any label is looked up, so a
+        superset that also lacks ``m`` reports its size too."""
+        t = Topology.discrete(make_ground_set(["m"]))
+        with pytest.raises(SizeLimitError) as e:
+            list(parent_questions(t, make_ground_set(labels.split(","))))
+        assert str(e.value) == LIMIT_MESSAGE.format(6)

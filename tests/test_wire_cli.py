@@ -466,6 +466,17 @@ class TestCliExitCodes:
             f"got {argv[2]}\n"
         )
 
+    @pytest.mark.parametrize("superset", ["m,s,a,b,c,d", "s,a,b,c,d,e"])
+    def test_parents_over_the_size_limit_exits_one(self, superset, tmp_path, capsys):
+        """Whether or not the superset holds the question's label ``m``,
+        its size is what is refused."""
+        path = write_doc(tmp_path, ["m"], [[], ["m"]])
+        assert main(["parents", path, "--superset", superset]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: enumeration limited to ground sets of at most 5 elements, got 6\n",
+        )
+
     @pytest.mark.parametrize(
         "flags", [["--count-only", "--census"], ["--census", "--count-only"]]
     )

@@ -46,6 +46,30 @@ MUTANTS = [
     ("kernel.py", "lean = point != 0 and not required >> point & 1", "lean = point != 0"),
     # A required mask off the ground ignored, as if never asked for.
     ("kernel.py", "    if required >> full + 1:\n        return []\n", ""),
+    # The least members' containment check skipped: a missing intersection passes.
+    ("core.py", "if transitive and _union_closure", "if _union_closure"),
+    # Duplicate labels let through, the later one taking a new bit.
+    ("core.py", "if label in bits:", "if False:"),
+    # A repeated document key never remembered: the last value wins.
+    ("wire.py", "        seen.add(name)\n", ""),
+    # Fields beyond "elements" and "opens" accepted.
+    ("wire.py", "    if extra:\n", "    if False:\n"),
+    # A malformed document reported as a domain failure.
+    ("cli.py", 'print(f"error: {e}", file=sys.stderr)\n            return 2', 'print(f"error: {e}", file=sys.stderr)\n            return 1'),
+    # --n -1 and --limit -1 accepted.
+    ("cli.py", "if value < 0:", "if value < -1:"),
+    # The smallest open left (always the empty set) as the carrier.
+    ("calculus.py", "carrier = result.masks[-1]", "carrier = result.masks[0]"),
+    # Each Bell-triangle entry copied from the row above, not summed.
+    ("enumeration.py", "below.append(below[-1] + v)", "below.append(v)"),
+    # A point resolved twice in one sequence.
+    ("calculus.py", "    if len(set(order)) != len(order):\n", "    if False:\n"),
+    # Labels read from the highest bit down.
+    ("core.py", "for i, label in enumerate(self.labels) if mask >> i & 1])", "for i, label in enumerate(self.labels) if mask >> i & 1][::-1])"),
+    # Negative sizes let through the one size check.
+    ("kernel.py", "if not 0 <= n <= MAX_N:", "if not n <= MAX_N:"),
+    # parent_questions looks up the superset's labels before its size.
+    ("enumeration.py", "    kernel.check_size(superset_ground.size)\n", ""),
 ]
 
 
