@@ -282,9 +282,9 @@ class AxiomViolation(Frozen):
 
 
 class TopologyError(ValueError):
-    def __init__(self, violation: AxiomViolation):
-        super().__init__(f"{violation.axiom} violated: {violation.message}")
-        self.violation = violation
+    """A family that fails C1-C3."""
+
+    violation: AxiomViolation | None = None  # the first violation found
 
 
 def is_topology(family: SubsetFamily) -> tuple[bool, AxiomViolation | None]:
@@ -387,7 +387,9 @@ def make_topology(family: SubsetFamily) -> Topology:
     ``TopologyError`` of its first violation, raised here alone."""
     _, violation = is_topology(family)
     if violation is not None:
-        raise TopologyError(violation)
+        error = TopologyError(f"{violation.axiom} violated: {violation.message}")
+        error.violation = violation
+        raise error
     return Topology._trusted(family.masks, family.ground)
 
 

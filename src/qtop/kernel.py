@@ -25,10 +25,10 @@ strictly above ``point``.  ``U -> U - point`` maps them, with ``point``
 as their bottom and the full mask as their top, isomorphically onto the
 lattice of the other n - |point| points, so this tree is the
 unconstrained search on those points: for one point at n = 5, the 1580
-nodes of the 4-point search, where a subtree with ``point`` and one
-without it took 2190.  Each leaf is a family of opens that, with
-``point`` added, is a topology, emitted as such.  The same family without
-``point`` is a topology too unless two of its opens meet in ``point``,
+nodes of the 4-point search.  Each leaf is a family of opens that, with
+``point`` added, is a topology, emitted as such; a full ``point`` is its
+own top, so its one leaf, the empty family, is ``(0, point)``.  The same
+family without ``point`` is a topology too unless two of its opens meet in ``point``,
 that is, unless the meet of all of them is ``point``; the rec carries
 that meet, and a leaf whose meet lies strictly above ``point`` emits the
 family without ``point`` into a second list as well.  In the full stream ``point`` is the least
@@ -77,11 +77,9 @@ def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int,
         return [(0,)]
     if point & ~full or any(required >> s & 1 for s in range(1, full) if s & point != point):
         return []
-    if point == full:
-        return [(0, full)]
     candidates = [s for s in range(point + 1, full) if s & point == point]
     last = len(candidates)
-    head = (0, point) if point else (0,)
+    head = (0, point) if 0 < point < full else (0,)
     # Families without point as an open, unless point is required.
     lean = point != 0 and not required >> point & 1
     out: list[tuple[int, ...]] = []
@@ -123,8 +121,8 @@ def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int,
 
 
 def count_topology_masks(n: int) -> int:
-    """Number of topologies on n points, read from OEIS A000798 rather
-    than searched.  ``test_kernel_count_is_the_length_of_its_search``
+    """Number of topologies on n points, read from OEIS A000798.
+    ``test_kernel_count_is_the_length_of_its_search``
     holds each entry to ``len(topology_masks(n))`` and
     ``test_kernel_count_matches_the_brute_force_oracle`` to the
     brute-force families for n <= 4.  The range check comes first, so a

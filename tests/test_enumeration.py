@@ -183,6 +183,27 @@ class TestConstrainedKernel:
                 found += bool(expected)
         assert found > (n + 1) * len(requireds) // 4
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_the_whole_contract_on_small_grounds(self, n):
+        """Every ``required`` bitset over the mask values, one bit above
+        them and -1, with every point from -1 to one past the full mask,
+        in order against the brute-force families filtered by the
+        docstring's one rule: an off-ground point or a negative one, an
+        off-ground or negative ``required`` and the empty ground (where
+        any point holds vacuously) are no special cases of it."""
+        full = (1 << n) - 1
+        ends = 1 | 1 << full
+        held = [(f, sum(1 << m for m in f)) for f in oracle_families(n)]
+        requireds = [*range(1 << full + 1), 1 << full + 1, -1]
+        for point in range(-1, full + 2):
+            for required in requireds:
+                expected = [
+                    f
+                    for f, bits in held
+                    if not required & ~ends & ~bits and all(m & point == point for m in f if m)
+                ]
+                assert kernel.topology_masks(n, required, point) == expected
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_points_of_any_width(self, n):
         """Every point mask for n <= 4 and a seeded few of two or more

@@ -4,7 +4,7 @@ footprint.
 Every type compares equal only to an instance of its own class with
 equal fields, hashes over those fields, has a fixed ``repr``, refuses
 assignment and deletion, and survives pickle, ``copy`` and
-``deepcopy``.
+``deepcopy``.  So do qtop's errors that carry their cause.
 """
 
 import copy
@@ -32,6 +32,7 @@ from qtop import (
     is_topology,
     make_ground_set,
     make_machine_pair,
+    make_topology,
     resolve_sequence,
 )
 from qtop.core import Frozen
@@ -184,7 +185,7 @@ def test_assignment_and_deletion_raise(value):
     assert build() == obj
 
 
-@pytest.mark.parametrize(
+ROUND_TRIPS = pytest.mark.parametrize(
     "round_trip",
     [
         lambda obj: pickle.loads(pickle.dumps(obj)),
@@ -193,11 +194,42 @@ def test_assignment_and_deletion_raise(value):
     ],
     ids=["pickle", "copy", "deepcopy"],
 )
+
+
+@ROUND_TRIPS
 def test_round_trips(value, round_trip):
     build, text, _ = value
     obj = round_trip(build())
     assert obj == build()
     assert repr(obj) == text
+
+
+# (raise the error, the attribute that carries its cause)
+ERRORS = {
+    "TopologyError": (
+        lambda: make_topology(SubsetFamily((0, 1, 2, 7), make_ground_set("abc"))),
+        "violation",
+    ),
+    "UnknownLabelError": (lambda: ab().mask_of(["a", "z"]), "label"),
+}
+
+
+@ROUND_TRIPS
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_errors_round_trip(name, round_trip):
+    """Each error is a plain ``ValueError`` with its cause as an
+    attribute, so the exception protocol, which rebuilds it from
+    ``args``, keeps its message, repr and cause."""
+    call, cause = ERRORS[name]
+    with pytest.raises(ValueError) as e:
+        call()
+    error = e.value
+    assert type(error).__name__ == name and getattr(error, cause) is not None
+    copied = round_trip(error)
+    assert type(copied) is type(error)
+    assert str(copied) == str(error)
+    assert repr(copied) == repr(error)
+    assert getattr(copied, cause) == getattr(error, cause)
 
 
 def test_ground_set_codec_survives_pickle():

@@ -70,6 +70,34 @@ MUTANTS = [
     ("kernel.py", "if not 0 <= n <= MAX_N:", "if not n <= MAX_N:"),
     # parent_questions looks up the superset's labels before its size.
     ("enumeration.py", "    kernel.check_size(superset_ground.size)\n", ""),
+    # An unhashable label escapes mask_of as a TypeError.
+    ("core.py", "except (KeyError, TypeError):", "except KeyError:"),
+    # Two distinct grounds let through the census.
+    ("negation.py", "if len({t.ground for t in topologies}) > 1:", "if len({t.ground for t in topologies}) > 2:"),
+    # The union closure built to the end, however far past the family.
+    ("core.py", "        if len(opens) > cap:\n            break\n", ""),
+    # A failing family scanned pairwise in every row, not only the V_x rows.
+    ("core.py", "        if a in rows\n", ""),
+    # A missing full set no longer reported as C1.
+    ("core.py", '    if ground.full_mask not in present:\n        return False, AxiomViolation("C1", "the full ground set is missing")\n', ""),
+    # The least open holding x dropped from its neighborhood.
+    ("calculus.py", "tuple(m for m in t.masks if m & bit)", "tuple(m for m in t.masks if m & bit)[1:]"),
+    # An opens entry that is no array passed on as if it were one.
+    ("wire.py", "if not isinstance(entry, list):", "if False:"),
+    # No flush inside main: a closed pipe fails at the exit flush instead.
+    ("cli.py", "sys.stdout.flush()  # a closed pipe", "pass  # a closed pipe"),
+    # One label past the limit let through.
+    ("core.py", "if len(labels) > MAX_GROUND_SIZE:", "if len(labels) > MAX_GROUND_SIZE + 1:"),
+    # A negative mask taken for one within the width.
+    ("core.py", "if mask >> len(self.labels):", "if mask > self.full_mask:"),
+    # A repeated mask let through the canonical-form check.
+    ("core.py", "operator.lt, masks, masks[1:]", "operator.le, masks, masks[1:]"),
+    # A subspace's points numbered from the carrier's highest bit down.
+    ("calculus.py", "if a >> i & 1]", "if a >> i & 1][::-1]"),
+    # The full point listed twice: once as the bottom, once as the top.
+    ("kernel.py", "head = (0, point) if 0 < point < full else (0,)", "head = (0, point) if point else (0,)"),
+    # A TopologyError raised without the violation it reports.
+    ("core.py", "        error.violation = violation\n", ""),
 ]
 
 
