@@ -11,6 +11,7 @@ remainder is empty (an irrelevant question).
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 
 from .core import Frozen, GroundSet, GroundSetError, Subset, SubsetFamily, Topology
 
@@ -111,10 +112,15 @@ def subspace_topology(t: Topology, a: int) -> Topology:
     return Topology._trusted(tuple(sorted(repacked)), sub_ground)
 
 
-def resolve_sequence(t: Topology, order: list[str]) -> list[ResolutionStep]:
+def resolve_sequence(t: Topology, order: Iterable[str]) -> list[ResolutionStep]:
     """Eliminate points in the given order, descending into the subspace
-    after every TYPE_I step; stops at the first TYPE_II or TYPE_III."""
-    if len(set(order)) != len(order):
+    after every TYPE_I step; stops at the first TYPE_II or TYPE_III.
+
+    Only text names a point, so only text points must be distinct: any
+    other value is absent, and the sequence ends there, type-3."""
+    order = list(order)
+    labels = [x for x in order if isinstance(x, str)]
+    if len(set(labels)) != len(labels):
         raise GroundSetError("points to resolve must be distinct")
     steps: list[ResolutionStep] = []
     current = t

@@ -24,6 +24,10 @@ __all__ = [
 
 ENUMERATION_LIMIT = kernel.MAX_N
 
+# B(n), the number of set partitions of n points (OEIS A000110), for
+# every n that ``count_topologies`` accepts.
+A000110 = (1, 1, 2, 5, 15, 52)
+
 
 class EnumerationReport(Frozen):
     """Summary of the question space on one ground set.
@@ -52,8 +56,7 @@ def count_topologies(n: int) -> int:
 
 def enumeration_report(ground: GroundSet) -> EnumerationReport:
     """Census of every topology on ``ground`` from A000798, one
-    constrained kernel search and a Bell number, with no per-topology
-    work.
+    constrained kernel search and A000110, with no per-topology work.
 
     - The count is A000798(n), read from the kernel's table.
     - Every point has the same tally.  A permutation of the points maps
@@ -69,7 +72,7 @@ def enumeration_report(ground: GroundSet) -> EnumerationReport:
       its preorder).  A symmetric preorder is an equivalence relation,
       and every equivalence relation is the preorder of the topology its
       classes generate, so the self-dual topologies are counted by the
-      set partitions: B(n).
+      set partitions: the Bell number B(n), read from OEIS A000110.
     """
     n = ground.size
     count = count_topologies(n)
@@ -82,20 +85,7 @@ def enumeration_report(ground: GroundSet) -> EnumerationReport:
         }
         for label in ground.labels
     }
-    return EnumerationReport(n, count, census, _bell(n))
-
-
-def _bell(n: int) -> int:
-    """B(n) by the Bell triangle: each row opens with the last entry of
-    the row above, and each further entry adds the entry above its left
-    neighbour to that neighbour."""
-    row = [1]
-    for _ in range(n):
-        below = [row[-1]]
-        for v in row:
-            below.append(below[-1] + v)
-        row = below
-    return row[0]
+    return EnumerationReport(n, count, census, A000110[n])
 
 
 def find_definite_questions(ground: GroundSet, x: str) -> Iterator[Topology]:

@@ -221,3 +221,14 @@ class TestResolveSequence:
     def test_duplicate_points_rejected(self, t_x):
         with pytest.raises(ValueError, match="distinct"):
             resolve_sequence(t_x, ["m", "m"])
+
+    def test_iterator_gives_the_steps_of_its_list(self, t_x):
+        assert resolve_sequence(t_x, iter(["e", "s"])) == resolve_sequence(t_x, ["e", "s"])
+
+    def test_unhashable_point_ends_the_sequence_absent(self, t_x):
+        # Only text names a point: any other value is one type-3 step,
+        # repeated or not, as classify_question calls it.
+        for order in ([["m"]], [["m"], ["m"]]):
+            steps = resolve_sequence(t_x, order)
+            assert len(steps) == 1
+            assert steps[0].outcome == classify_question(t_x, ["m"])

@@ -60,10 +60,10 @@ MUTANTS = [
     ("cli.py", "if value < 0:", "if value < -1:"),
     # The smallest open left (always the empty set) as the carrier.
     ("calculus.py", "carrier = result.masks[-1]", "carrier = result.masks[0]"),
-    # Each Bell-triangle entry copied from the row above, not summed.
-    ("enumeration.py", "below.append(below[-1] + v)", "below.append(v)"),
+    # One self-dual topology missing from the table's last entry.
+    ("enumeration.py", "A000110 = (1, 1, 2, 5, 15, 52)", "A000110 = (1, 1, 2, 5, 15, 51)"),
     # A point resolved twice in one sequence.
-    ("calculus.py", "    if len(set(order)) != len(order):\n", "    if False:\n"),
+    ("calculus.py", "    if len(set(labels)) != len(labels):\n", "    if False:\n"),
     # Labels read from the highest bit down.
     ("core.py", "for i, label in enumerate(self.labels) if mask >> i & 1])", "for i, label in enumerate(self.labels) if mask >> i & 1][::-1])"),
     # Negative sizes let through the one size check.
@@ -98,6 +98,38 @@ MUTANTS = [
     ("kernel.py", "head = (0, point) if 0 < point < full else (0,)", "head = (0, point) if point else (0,)"),
     # A TopologyError raised without the violation it reports.
     ("core.py", "        error.violation = violation\n", ""),
+    # An unhashable point looked up in the label dict: a TypeError.
+    ("core.py", "return isinstance(label, str) and label in self._bits", "return label in self._bits"),
+    # A subclass's value taken as equal to its base's.
+    ("core.py", "if other.__class__ is self.__class__:", "if isinstance(other, self.__class__):"),
+    # An open with labels only in its high byte keeps their leading comma.
+    ("core.py", "else high[m >> 8][1:] for m in masks]", "else high[m >> 8] for m in masks]"),
+    # A negative mask let through the range check.
+    ("core.py", "(masks[0] < 0 or masks[-1] > ground.full_mask)", "(masks[-1] > ground.full_mask)"),
+    # A minimal open taken as the join of the opens holding the point.
+    ("core.py", "                u &= m\n", "                u |= m\n"),
+    # A non-iterable reported as an unknown label.
+    ("core.py", "        labels = iter(labels)  # a non-iterable raises here, not as a label\n", ""),
+    # A deeply nested document escapes as a RecursionError.
+    ("wire.py", '    except RecursionError:\n        raise DocumentError("document is nested too deeply") from None\n', ""),
+    # A family with no opens written as holding the empty set.
+    ("wire.py", "if items else '\"opens\":[]'", "if items else '\"opens\":[[]]'"),
+    # An empty point in --points passed on as a label.
+    ("cli.py", 'points = [p for p in raw.split(",") if p]', 'points = raw.split(",")'),
+    # Labels naming too few points let through.
+    ("cli.py", "if len(names) != args.n:", "if len(names) > args.n:"),
+    # The decoder's whole message in place of its reason.
+    ("cli.py", "not UTF-8 ({e.reason})", "not UTF-8 ({e})"),
+    # Only the very object counted as its own negation.
+    ("negation.py", "negation == t)", "negation is t)"),
+    # The empty ground searched like any other.
+    ("kernel.py", "    if full == 0:\n        return [(0,)]\n", ""),
+    # The type-1 tally counts the type-2 topologies too.
+    ("enumeration.py", "QuestionType.TYPE_I.value: count - definite,", "QuestionType.TYPE_I.value: count,"),
+    # An iterator of points consumed by the repeat check.
+    ("calculus.py", "    order = list(order)\n", ""),
+    # Every point, not only text, hashed by the repeat check.
+    ("calculus.py", "labels = [x for x in order if isinstance(x, str)]", "labels = order"),
 ]
 
 
