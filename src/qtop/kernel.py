@@ -1,49 +1,45 @@
 """Enumeration kernel.
 
-Depth-first search over families of bitmasks, candidates taken in
-ascending order, include-branch first.  Two prune rules keep every leaf a
-topology: adding a mask whose intersection with an earlier member was
-already excluded is a contradiction, and a union demanded by earlier
-members forces inclusion when its turn comes.  Only an intersection can
-already have been excluded: it lies below the new mask, whose turn it
-is, while a union is never below it.  Include-first emission
-yields families in ascending lexicographic order of their sorted masks.
+The topologies on n points are built from those on the first n - 1, one
+point at a time: the classical one-point extension of preorders (Erne
+and Stege, "Counting finite posets and topologies", Order 8, 1991;
+Brinkmann and McKay, "Posets on up to 16 points", Order 19, 2002).  Let
+x be the new point, ``1 << n - 1``.  A topology T on n points is fixed
+by the topology T' it induces on the other points and two sets of T':
+the open d = U_x - x, where U_x is x's least open, and the closed set U
+of the points u whose least open U_u holds x.  U's complement c is the
+union of the opens of T that lack x, so c is an open of T'.  The opens
+of T are the opens of T' that avoid U, then the opens of T' that hold
+d, each with x added.  Conversely, T', an open c and an open d of T'
+give a topology this way iff d lies in every open of T' that meets U,
+as it must: such an open holds some U_u with u in U, and U_u holds U_x.
+So the map is a bijection, and a level lists every topology on n points
+exactly once.  Each family ascends, since its opens with x lie above
+those without, and one sort per level puts the families in ascending
+lexicographic order.
 
-Only an include recurses, since only an include makes a new family: a
-frame loops over the remaining candidates, excluding one is the next turn
-of its loop, and the family is a leaf when the loop runs out.  The
-intersection rule is tested first, so an include it refuses computes no
-union demands.
+The levels are memoised: each is built once per process, from the one
+below, and every search copies, filters or lifts it, so the caller owns
+its list.  By tracemalloc they hold about 32 KB up to n = 4, and 842 KB
+more for n = 5.
 
-A search can be constrained two ways.  ``required`` is a bitset indexed
-by mask value that seeds the set of forced masks, so the exclude branch
-is refused at each required mask's turn; a required mask that is no set
-on n points makes the search empty.  A non-zero ``point`` mask must lie
-in every non-empty open, so a search that requires a mask lacking it is
-empty, and otherwise it walks one tree: its candidates are the masks
-strictly above ``point``.  ``U -> U - point`` maps them, with ``point``
-as their bottom and the full mask as their top, isomorphically onto the
-lattice of the other n - |point| points, so this tree is the
-unconstrained search on those points: for one point at n = 5, the 1580
-nodes of the 4-point search.  Each leaf is a family of opens that, with
-``point`` added, is a topology, emitted as such; a full ``point`` is its
-own top, so its one leaf, the empty family, is ``(0, point)``.  The same
-family without ``point`` is a topology too unless two of its opens meet in ``point``,
-that is, unless the meet of all of them is ``point``; the rec carries
-that meet, and a leaf whose meet lies strictly above ``point`` emits the
-family without ``point`` into a second list as well.  In the full stream ``point`` is the least
-candidate and is tried included first, so every family that holds it
-comes before every family that lacks it; within each list the tree's
-include-first order is the same ascending order, so the first list
-followed by the second is the full stream filtered by ``point``, in
-order.  ``required`` only cuts subtrees of either tree, and a required
-``point`` the second list, so the result is exactly the subsequence of
-the full stream that holds every required mask and whose every
-non-empty open contains ``point``.  The search for the questions with a
-definite answer at x passes x's mask as ``point``.
+A search can be constrained two ways.  A non-zero ``point`` mask must
+lie in every non-empty open.  The families that hold ``point`` as an
+open are the topologies on the m = n - |point| other points, lifted
+through a table of 2^m masks: ``spread[v]`` lays v's bits onto the
+points outside ``point`` and adds ``point``.  A family whose non-empty
+opens all hold ``point`` but which lacks it is one of these without
+``point``, and one of these without ``point`` is a topology iff no two of
+its opens meet in ``point``, that is, iff the meet of its non-empty opens
+is not ``point``.  The lifted families are sorted once.  ``required`` is
+a bitset indexed by mask value: the result keeps only the families that
+hold every required mask.  The search for the questions with a definite
+answer at x passes x's mask as ``point``.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .core import SizeLimitError
 
@@ -62,6 +58,26 @@ def check_size(n: int) -> None:
         )
 
 
+@functools.cache
+def _level(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every topology on n points, ascending, each extended from one on
+    the first n - 1 points as the module docstring sets out."""
+    if n == 0:
+        return ((0,),)
+    x = 1 << n - 1
+    out = []
+    for t in _level(n - 1):
+        for c in t:
+            u = (x - 1) & ~c
+            below = [o for o in t if not o & u]
+            meet = functools.reduce(int.__and__, [o for o in t if o & u], x - 1)
+            for d in t:
+                if d & meet == d:
+                    out.append((*below, *[o | x for o in t if o & d == d]))
+    out.sort()
+    return tuple(out)
+
+
 def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int, ...]]:
     """All topologies on n points, each as its sorted tuple of open masks,
     that hold every mask whose bit is set in ``required`` and whose every
@@ -75,48 +91,28 @@ def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int,
         return []
     if full == 0:
         return [(0,)]
-    if point & ~full or any(required >> s & 1 for s in range(1, full) if s & point != point):
+    if point & ~full:
         return []
-    candidates = [s for s in range(point + 1, full) if s & point == point]
-    last = len(candidates)
-    head = (0, point) if 0 < point < full else (0,)
-    # Families without point as an open, unless point is required.
-    lean = point != 0 and not required >> point & 1
-    out: list[tuple[int, ...]] = []
-    without: list[tuple[int, ...]] = []
-
-    def rec(i: int, chosen: tuple[int, ...], chosen_bits: int, required: int, meet: int) -> None:
-        # One turn per node: s is included by the recursive call and
-        # excluded by the next turn, which holds the same family; a
-        # required s ends the frame instead.
-        while i < last:
-            s = candidates[i]
-            i += 1
-            # The guards w and w != u, and w != s and w != full below, are
-            # for speed, not correctness: the bottom (point, or the empty
-            # mask) and u are chosen, s's own demand is cleared on
-            # inclusion, and the full mask is no candidate.
-            for u in chosen:
-                w = s & u
-                if w and w != u and not (chosen_bits >> w) & 1:
-                    break
-            else:
-                req = required
-                for u in chosen:
-                    w = s | u
-                    if w != s and w != full:
-                        req |= 1 << w
-                bit = 1 << s
-                rec(i, chosen + (s,), chosen_bits | bit, req & ~bit, meet & s)
-            if (required >> s) & 1:
-                return
-        out.append((*head, *chosen, full))
-        if lean and meet != point:
-            without.append((0, *chosen, full))
-
-    rec(0, (), 1 << point, required, full)
-    del rec  # rec holds itself through its closure cell: free it now, not at a GC
-    out += without
+    if point:
+        spread = [point]
+        for i in range(n):
+            if not point >> i & 1:
+                spread += [s | 1 << i for s in spread]
+        out = []
+        for t in _level(n - point.bit_count()):
+            opens = [spread[o] for o in t]
+            out.append((0, *opens))
+            meet = full
+            for o in opens[1:]:
+                meet &= o
+            if meet != point:
+                out.append((0, *opens[1:]))
+        out.sort()
+    else:
+        out = list(_level(n))
+    for s in range(1, full):
+        if required >> s & 1:
+            out = [f for f in out if s in f]
     return out
 
 

@@ -38,12 +38,16 @@ MUTANTS = [
     ("negation.py", "machines_agree(f) and is_topology(f)[0]", "machines_agree(f)"),
     # The smallest open left (always the empty set) in place of the largest.
     ("enumeration.py", "left[-1].bit_count()", "left[0].bit_count()"),
-    # The point search returns only the families that hold the point.
-    ("kernel.py", "    out += without\n", ""),
-    # The families without the point kept exactly where two opens meet in it.
+    # An extension's d must hold the meet, not lie in it.
+    ("kernel.py", "if d & meet == d:", "if d & meet == meet:"),
+    # Every open of T' kept below x, those that meet U included.
+    ("kernel.py", "below = [o for o in t if not o & u]", "below = list(t)"),
+    # A level left in the order its extensions came out.
+    ("kernel.py", "    out.sort()\n    return tuple(out)", "    return tuple(out)"),
+    # The lift keeps the families without the point exactly where two opens meet in it.
     ("kernel.py", "meet != point", "meet == point"),
-    # A required point ignored: the families without it emitted all the same.
-    ("kernel.py", "lean = point != 0 and not required >> point & 1", "lean = point != 0"),
+    # The memoised level itself handed out, not a copy the caller owns.
+    ("kernel.py", "out = list(_level(n))", "out = _level(n)"),
     # A required mask off the ground ignored, as if never asked for.
     ("kernel.py", "    if required >> full + 1:\n        return []\n", ""),
     # The least members' containment check skipped: a missing intersection passes.
@@ -94,8 +98,6 @@ MUTANTS = [
     ("core.py", "operator.lt, masks, masks[1:]", "operator.le, masks, masks[1:]"),
     # A subspace's points numbered from the carrier's highest bit down.
     ("calculus.py", "if a >> i & 1]", "if a >> i & 1][::-1]"),
-    # The full point listed twice: once as the bottom, once as the top.
-    ("kernel.py", "head = (0, point) if 0 < point < full else (0,)", "head = (0, point) if point else (0,)"),
     # A TopologyError raised without the violation it reports.
     ("core.py", "        error.violation = violation\n", ""),
     # An unhashable point looked up in the label dict: a TypeError.
