@@ -153,13 +153,12 @@ class GroundSet(Frozen):
 
     def mask_of(self, labels: Iterable[str]) -> int:
         bits = self._bits
-        labels = iter(labels)  # a non-iterable raises here, not as a label
         mask = 0
-        try:
-            for label in labels:
+        for label in labels:  # the iterable's own failure passes through
+            try:
                 mask |= bits[label]
-        except (KeyError, TypeError):
-            raise self._unknown(label) from None
+            except (KeyError, TypeError):
+                raise self._unknown(label) from None
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:

@@ -31,9 +31,15 @@ points outside ``point`` and adds ``point``.  A family whose non-empty
 opens all hold ``point`` but which lacks it is one of these without
 ``point``, and one of these without ``point`` is a topology iff no two of
 its opens meet in ``point``, that is, iff the meet of its non-empty opens
-is not ``point``.  The lifted families are sorted once.  ``required`` is
-a bitset indexed by mask value: the result keeps only the families that
-hold every required mask.  The search for the questions with a definite
+is not ``point``.  The search emits them in order with no sort: the
+families with ``point``, then those without, each list in the level's
+order.  ``spread`` is strictly increasing, so the lift keeps the level's
+ascending lexicographic order within each list; and the second entry of
+every family with ``point`` is ``point``, while that of every family
+without it is a strict superset of ``point``, so each family of the
+first list sorts before each of the second.  ``required`` is a bitset
+indexed by mask value: the result keeps only the families that hold
+every required mask.  The search for the questions with a definite
 answer at x passes x's mask as ``point``.
 """
 
@@ -98,16 +104,18 @@ def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int,
         for i in range(n):
             if not point >> i & 1:
                 spread += [s | 1 << i for s in spread]
-        out = []
+        lift = spread.__getitem__
+        held = []
+        bare = []
         for t in _level(n - point.bit_count()):
-            opens = [spread[o] for o in t]
-            out.append((0, *opens))
+            opens = (0, *map(lift, t))
+            held.append(opens)
             meet = full
-            for o in opens[1:]:
+            for o in opens[2:]:
                 meet &= o
             if meet != point:
-                out.append((0, *opens[1:]))
-        out.sort()
+                bare.append((0, *opens[2:]))
+        out = held + bare
     else:
         out = list(_level(n))
     for s in range(1, full):

@@ -98,6 +98,22 @@ class TestGroundSet:
         assert g.mask_of(["m"]) == 1 << 0
         assert g.mask_of(["s"]) == 1 << 1
 
+    def test_a_failing_iterable_raises_its_own_error(self):
+        """Only the label lookup is guarded: what the caller's iterable
+        raises, on its first item or after a known label, passes through
+        unchanged, never as an unknown label."""
+        g = make_ground_set(["a", "b"])
+
+        def labels(head, failure):
+            yield from head
+            raise failure
+
+        for failure in (TypeError("no more labels"), KeyError("no more labels")):
+            for head in ((), ("a",), ("a", "b")):
+                with pytest.raises(type(failure)) as e:
+                    g.mask_of(labels(head, failure))
+                assert e.value is failure
+
     def test_foreign_labels_are_not_members(self):
         g = make_ground_set(["a", "b"])
         assert "a" in g

@@ -4,7 +4,11 @@ Each entry of MUTANTS names a file of src/qtop, a text that occurs in it
 exactly once, and the text that replaces it.  Every mutant is applied to
 a fresh temporary copy of src/, and tier-1 runs against that copy with
 -x and a fixed Hypothesis seed, so a result repeats.  The unmutated copy
-runs first and must pass: a broken run would read as a kill.
+runs first and alone, and must pass: a broken run would read as a kill.
+The mutants then run on a few worker threads, each waiting on its own
+pytest process, and their results print in table order.  Each run keeps
+its pytest temporary directories and its Hypothesis example database in
+its own temporary directory, so concurrent runs share no writable state.
 
 Usage: python tools/mutants.py
 Exit status: 0 if every mutant was killed, 1 if any survived, 2 if an old
@@ -17,12 +21,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
 TIMEOUT_S = 600  # a mutant that never ends counts as killed
+WORKERS = min(4, os.cpu_count() or 1)
 
 # (file under src/qtop, old text, new text)
 MUTANTS = [
@@ -46,6 +52,12 @@ MUTANTS = [
     ("kernel.py", "    out.sort()\n    return tuple(out)", "    return tuple(out)"),
     # The lift keeps the families without the point exactly where two opens meet in it.
     ("kernel.py", "meet != point", "meet == point"),
+    # The point search's families without the point emitted first.
+    ("kernel.py", "out = held + bare", "out = bare + held"),
+    # The point search's families without the point dropped.
+    ("kernel.py", "out = held + bare", "out = held"),
+    # Each family without the point built with the point still in it.
+    ("kernel.py", "bare.append((0, *opens[2:]))", "bare.append((0, *opens[1:]))"),
     # The memoised level itself handed out, not a copy the caller owns.
     ("kernel.py", "out = list(_level(n))", "out = _level(n)"),
     # A required mask off the ground ignored, as if never asked for.
@@ -110,8 +122,20 @@ MUTANTS = [
     ("core.py", "(masks[0] < 0 or masks[-1] > ground.full_mask)", "(masks[-1] > ground.full_mask)"),
     # A minimal open taken as the join of the opens holding the point.
     ("core.py", "                u &= m\n", "                u |= m\n"),
-    # A non-iterable reported as an unknown label.
-    ("core.py", "        labels = iter(labels)  # a non-iterable raises here, not as a label\n", ""),
+    # The lookup's guard widened to the whole loop: the iterable's own failure reported as a label.
+    (
+        "core.py",
+        "        for label in labels:  # the iterable's own failure passes through\n"
+        "            try:\n"
+        "                mask |= bits[label]\n"
+        "            except (KeyError, TypeError):\n"
+        "                raise self._unknown(label) from None\n",
+        "        try:\n"
+        "            for label in labels:\n"
+        "                mask |= bits[label]\n"
+        "        except (KeyError, TypeError):\n"
+        "            raise self._unknown(label) from None\n",
+    ),
     # A deeply nested document escapes as a RecursionError.
     ("wire.py", '    except RecursionError:\n        raise DocumentError("document is nested too deeply") from None\n', ""),
     # A family with no opens written as holding the empty set.
@@ -135,9 +159,10 @@ MUTANTS = [
 ]
 
 
-def run_copy(mutant: tuple[str, str, str] | None) -> tuple[bool, str]:
+def run_copy(mutant: tuple[str, str, str] | None) -> tuple[bool, str, float]:
     """Tier-1 against a temporary copy of src/ with ``mutant`` applied:
-    whether it passed, and its first failure."""
+    whether it passed, its first failure, and its wall time."""
+    begun = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -145,13 +170,14 @@ def run_copy(mutant: tuple[str, str, str] | None) -> tuple[bool, str]:
             name, old, new = mutant
             path = src / "qtop" / name
             path.write_text(path.read_text().replace(old, new))
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        env = {**os.environ, "PYTHONPATH": str(src), "HYPOTHESIS_STORAGE_DIRECTORY": str(Path(tmp) / "hypothesis")}
+        pytest = [*PYTEST, f"--basetemp={Path(tmp) / 'pytest'}"]
         try:
-            run = subprocess.run(PYTEST, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+            run = subprocess.run(pytest, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return False, f"timed out after {TIMEOUT_S} s"
+            return False, f"timed out after {TIMEOUT_S} s", time.perf_counter() - begun
     failures = [line for line in run.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
-    return run.returncode == 0, (failures or [f"exit {run.returncode}"])[0]
+    return run.returncode == 0, (failures or [f"exit {run.returncode}"])[0], time.perf_counter() - begun
 
 
 def main() -> int:
@@ -164,19 +190,17 @@ def main() -> int:
         print("\n".join(unmatched))
         return 2
     start = time.perf_counter()
-    passed, failure = run_copy(None)
+    passed, failure, seconds = run_copy(None)
     if not passed:
         print(f"tier-1 fails on the unmutated copy: {failure}")
         return 2
-    print(f"unmutated copy passes ({time.perf_counter() - start:.1f} s)")
+    print(f"unmutated copy passes ({seconds:.1f} s); {len(MUTANTS)} mutants on {WORKERS} workers", flush=True)
     survivors = 0
-    for mutant in MUTANTS:
-        begun = time.perf_counter()
-        survived, failure = run_copy(mutant)
-        survivors += survived
-        name, old, new = mutant
-        verdict = "SURVIVED" if survived else f"killed by {failure}"
-        print(f"{name}: {old.strip()!r} -> {new.strip()!r}: {verdict} ({time.perf_counter() - begun:.1f} s)")
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for (name, old, new), (survived, failure, seconds) in zip(MUTANTS, pool.map(run_copy, MUTANTS)):
+            survivors += survived
+            verdict = "SURVIVED" if survived else f"killed by {failure}"
+            print(f"{name}: {old.strip()!r} -> {new.strip()!r}: {verdict} ({seconds:.1f} s)", flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed in {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 
