@@ -107,18 +107,16 @@ def parent_questions(
     t: Topology, superset_ground: GroundSet, limit: int | None = None
 ) -> Iterator[Topology]:
     """Topologies on the larger ground set containing every open of ``t``
-    (re-embedded by label identity)."""
-    # Size before labels: ``qtop parents`` builds the superset's ground
-    # from its labels before this runs, so a superset both too large and
-    # missing a label still reports its size.
-    kernel.check_size(superset_ground.size)
-    required = sum(
-        1 << superset_ground.mask_of(t.ground.labels_of(m)) for m in t.masks
-    )
-    found = (
-        Topology._trusted(masks, superset_ground)
-        for masks in kernel.topology_masks(superset_ground.size, required=required)
-    )
+    (re-embedded by label identity), in ascending order: the superset's
+    full search, filtered by each open of ``t`` but the empty one, which
+    every family holds."""
+    # The search is the size check: it runs before any label is looked
+    # up, so a superset both too large and missing a label reports its size.
+    families = kernel.topology_masks(superset_ground.size)
+    for m in t.masks[1:]:
+        s = superset_ground.mask_of(t.ground.labels_of(m))
+        families = [f for f in families if s in f]
+    found = (Topology._trusted(masks, superset_ground) for masks in families)
     if limit is not None:
         limit = min(limit, sys.maxsize)  # islice refuses more; no stream comes near it
     yield from itertools.islice(found, limit)

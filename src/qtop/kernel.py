@@ -19,11 +19,11 @@ those without, and one sort per level puts the families in ascending
 lexicographic order.
 
 The levels are memoised: each is built once per process, from the one
-below, and every search copies, filters or lifts it, so the caller owns
-its list.  By tracemalloc they hold about 32 KB up to n = 4, and 842 KB
+below, and every search copies or lifts it, so the caller owns its
+list.  By tracemalloc they hold about 32 KB up to n = 4, and 842 KB
 more for n = 5.
 
-A search can be constrained two ways.  A non-zero ``point`` mask must
+A search can be constrained by a non-zero ``point`` mask, which must
 lie in every non-empty open.  The families that hold ``point`` as an
 open are the topologies on the m = n - |point| other points, lifted
 through a table of 2^m masks: ``spread[v]`` lays v's bits onto the
@@ -37,10 +37,8 @@ order.  ``spread`` is strictly increasing, so the lift keeps the level's
 ascending lexicographic order within each list; and the second entry of
 every family with ``point`` is ``point``, while that of every family
 without it is a strict superset of ``point``, so each family of the
-first list sorts before each of the second.  ``required`` is a bitset
-indexed by mask value: the result keeps only the families that hold
-every required mask.  The search for the questions with a definite
-answer at x passes x's mask as ``point``.
+first list sorts before each of the second.  The search for the
+questions with a definite answer at x passes x's mask as ``point``.
 """
 
 from __future__ import annotations
@@ -84,17 +82,12 @@ def _level(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int, ...]]:
+def topology_masks(n: int, point: int = 0) -> list[tuple[int, ...]]:
     """All topologies on n points, each as its sorted tuple of open masks,
-    that hold every mask whose bit is set in ``required`` and whose every
-    non-empty open contains the mask ``point`` (0: no constraint).  Bits
-    of the empty and the full mask are ignored: every topology holds
-    both.  A bit above the full mask names no set on n points, so no
-    topology holds it."""
+    whose every non-empty open contains the mask ``point`` (0: no
+    constraint), in ascending order."""
     check_size(n)
     full = (1 << n) - 1
-    if required >> full + 1:
-        return []
     if full == 0:
         return [(0,)]
     if point & ~full:
@@ -115,13 +108,8 @@ def topology_masks(n: int, required: int = 0, point: int = 0) -> list[tuple[int,
                 meet &= o
             if meet != point:
                 bare.append((0, *opens[2:]))
-        out = held + bare
-    else:
-        out = list(_level(n))
-    for s in range(1, full):
-        if required >> s & 1:
-            out = [f for f in out if s in f]
-    return out
+        return held + bare
+    return list(_level(n))
 
 
 def count_topology_masks(n: int) -> int:

@@ -126,135 +126,84 @@ class TestConstrainedKernel:
 
     @pytest.mark.parametrize("n, pairs", [(2, 100), (3, 200), (4, 200), (5, 8)])
     def test_requiring_and_forbidding_at_once(self, n, pairs):
-        """Seeded ``required`` bitsets over every mask value, the empty and
-        the full mask's bits included, each searched with no point and
-        with every point, which forbids the masks without it.  Then the
-        corners: both ends required, a required mask that lacks the
-        point, the full mask as the point, and a point off the ground."""
+        """Seeded sparse sets of masks required the way
+        ``parent_questions`` requires them, by filtering the search, each
+        on the search with no point and with every point, which forbids
+        the masks without it.  Then the corners: a required mask that
+        lacks the point, the full mask as the point, and a point off the
+        ground."""
         full = (1 << n) - 1
         stream = kernel.topology_masks(n)
         stream_bits = [sum(1 << m for m in f) for f in stream]
-        ends = 1 | 1 << full
         rng = random.Random(n)
-        requireds = [ends, 1 << 1]
+        requireds = [[0, full], [1]]
         for _ in range(pairs):
             sparse = [rng.getrandbits(full + 1) for _ in range(3)]
-            requireds.append(sparse[0] & sparse[1] & sparse[2])
+            drawn = sparse[0] & sparse[1] & sparse[2]
+            requireds.append([m for m in range(full + 1) if drawn >> m & 1])
         found = 0
         for point in [0, *(1 << i for i in range(n))]:
             lacking = sum(1 << m for m in range(1, full + 1) if m & point != point)
             for required in requireds:
-                inner = required & ~ends
+                inner = sum(1 << m for m in required)
                 expected = [
                     f
                     for f, bits in zip(stream, stream_bits)
                     if bits & inner == inner and not bits & lacking
                 ]
-                assert kernel.topology_masks(n, required, point) == expected
+                got = kernel.topology_masks(n, point)
+                for m in required:
+                    got = [f for f in got if m in f]
+                assert got == expected
                 found += bool(expected)
-        assert kernel.topology_masks(n, ends) == stream
-        assert kernel.topology_masks(n, 1 << 1, point=1 << 1) == []
+        assert [f for f in kernel.topology_masks(n, point=1 << 1) if 1 in f] == []
         assert kernel.topology_masks(n, point=full) == [(0, full)]
         assert kernel.topology_masks(n, point=1 << n) == []
         assert found > (n + 1) * len(requireds) // 4
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_matches_the_oracle_filtered_by_the_definition(self, n):
-        """Each search, with no point and with every point, on seeded
-        sparse ``required`` bitsets, in order against the brute-force
-        families that hold every required mask and whose every non-empty
-        open contains the point."""
-        full = (1 << n) - 1
-        rng = random.Random(100 + n)
-        requireds = [0]
-        for _ in range(40):
-            sparse = [rng.getrandbits(full + 1) for _ in range(3)]
-            requireds.append(sparse[0] & sparse[1] & sparse[2])
-        found = 0
+        """Each search, with no point and with every point, in order
+        against the brute-force families whose every non-empty open
+        contains the point."""
         for point in [0, *(1 << i for i in range(n))]:
-            for required in requireds:
-                needed = {m for m in range(full + 1) if required >> m & 1}
-                expected = [
-                    f
-                    for f in oracle_families(n)
-                    if needed <= set(f) and all(m & point == point for m in f if m)
-                ]
-                assert kernel.topology_masks(n, required, point) == expected
-                found += bool(expected)
-        assert found > (n + 1) * len(requireds) // 4
+            expected = [f for f in oracle_families(n) if all(m & point == point for m in f if m)]
+            assert kernel.topology_masks(n, point) == expected
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_the_whole_contract_on_small_grounds(self, n):
-        """Every ``required`` bitset over the mask values, one bit above
-        them and -1, with every point from -1 to one past the full mask,
-        in order against the brute-force families filtered by the
-        docstring's one rule: an off-ground point or a negative one, an
-        off-ground or negative ``required`` and the empty ground (where
+        """Every point from -1 to one past the full mask, in order against
+        the brute-force families filtered by the docstring's one rule: an
+        off-ground point or a negative one and the empty ground (where
         any point holds vacuously) are no special cases of it."""
         full = (1 << n) - 1
-        ends = 1 | 1 << full
-        held = [(f, sum(1 << m for m in f)) for f in oracle_families(n)]
-        requireds = [*range(1 << full + 1), 1 << full + 1, -1]
         for point in range(-1, full + 2):
-            for required in requireds:
-                expected = [
-                    f
-                    for f, bits in held
-                    if not required & ~ends & ~bits and all(m & point == point for m in f if m)
-                ]
-                assert kernel.topology_masks(n, required, point) == expected
+            expected = [f for f in oracle_families(n) if all(m & point == point for m in f if m)]
+            assert kernel.topology_masks(n, point) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_points_of_any_width(self, n):
         """Every point mask for n <= 4 and a seeded few of two or more
-        bits at n = 5, each on seeded sparse ``required`` bitsets: most
-        drawn among the masks that contain the point, with and without
-        the point's own bit, and one drawn among all masks.  In order
-        against the full stream filtered by both constraints and, for
-        n <= 4, against the brute-force families filtered by the
-        definition."""
+        bits at n = 5.  In order against the full stream filtered by the
+        point and, for n <= 4, against the brute-force families filtered
+        by the definition."""
         full = (1 << n) - 1
-        ends = 1 | 1 << full
         stream = kernel.topology_masks(n)
         rng = random.Random(200 + n)
         if n <= 4:
             points = range(1, full + 1)
         else:
             points = rng.sample([p for p in range(1, full) if p.bit_count() > 1], 6)
-        found = 0
+        sources = [stream, oracle_families(n)] if n <= 4 else [stream]
         for point in points:
-            above = sum(1 << m for m in range(full + 1) if m & point == point)
-            requireds = [0, 1 << point, rng.getrandbits(full + 1) & rng.getrandbits(full + 1)]
-            for _ in range(6):
-                sparse = [rng.getrandbits(full + 1) for _ in range(2)]
-                required = sparse[0] & sparse[1] & above & ~(1 << point)
-                requireds += [required, required | 1 << point]
-            sources = [stream, oracle_families(n)] if n <= 4 else [stream]
             for families in sources:
-                held = [(f, sum(1 << m for m in f)) for f in families if all(m & point == point for m in f[1:])]
-                for required in requireds:
-                    inner = required & ~ends
-                    expected = [f for f, bits in held if bits & inner == inner]
-                    assert kernel.topology_masks(n, required, point) == expected
-                    found += bool(expected)
-        assert found > len(sources) * len(points) * len(requireds) // 2
+                expected = [f for f in families if all(m & point == point for m in f[1:])]
+                assert kernel.topology_masks(n, point) == expected
 
     def test_a_point_on_the_empty_ground_holds_vacuously(self):
         """The empty ground has no non-empty open, so any point lies in
         every one: the one topology, (0,), is the whole result."""
         assert kernel.topology_masks(0, point=1) == [(0,)]
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
-    def test_a_required_mask_off_the_ground_gives_nothing(self, n):
-        """A bit above the full mask names no set on n points, so no
-        topology holds it, as none holds an off-ground point; the full
-        mask's own bit is ignored."""
-        full = (1 << n) - 1
-        assert kernel.topology_masks(n, required=1 << full) == kernel.topology_masks(n)
-        assert kernel.topology_masks(n, required=1 << full + 1) == []
-        assert kernel.topology_masks(n, required=1 << full | 1 << 40) == []
-        assert kernel.topology_masks(n, required=1 << full + 1, point=full) == []
-        assert kernel.topology_masks(2, required=1 << 7) == []
 
     @pytest.mark.parametrize("n", [-1, 6])
     def test_size_outside_the_kernel_range(self, n):
@@ -279,32 +228,11 @@ class TestConstrainedKernel:
         try:
             kernel.topology_masks(3)
             assert gc.collect() == 0
-            assert kernel.topology_masks(3, required=1 << 0b011, point=0b001)
+            assert kernel.topology_masks(3, point=0b001)
             assert gc.collect() == 0
         finally:
             if enabled:
                 gc.enable()
-
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_requiring_an_embedded_topology(self, n):
-        """Every topology on at most 3 points, placed on n points by every
-        order-preserving injection and by its reverse.  A family placed
-        by ``c[::-1]`` is its reverse placed by ``c``, so many placements
-        share a bitset: each distinct one is checked once."""
-        full = kernel.topology_masks(n)
-        full_bits = [sum(1 << m for m in f) for f in full]
-        requireds = set()
-        for k in range(4):
-            placements = {p for c in combinations(range(n), k) for p in (c, c[::-1])}
-            for sub in oracle_families(k):
-                for p in placements:
-                    required = 0
-                    for m in sub:
-                        required |= 1 << sum(1 << j for i, j in enumerate(p) if (m >> i) & 1)
-                    requireds.add(required)
-        for required in requireds:
-            expected = [f for f, bits in zip(full, full_bits) if bits & required == required]
-            assert kernel.topology_masks(n, required=required) == expected
 
 
 class TestEnumerationReport:
@@ -481,3 +409,36 @@ class TestParentQuestions:
         with pytest.raises(SizeLimitError) as e:
             list(parent_questions(t, make_ground_set(labels.split(","))))
         assert str(e.value) == LIMIT_MESSAGE.format(6)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_requiring_an_embedded_topology(self, n):
+        """Every topology on at most 3 points, placed on n points by every
+        order-preserving injection and by its reverse: the superset holds
+        the topology's labels at the placement's positions and its other
+        labels, in order, around them.  In order against the
+        ``enumerate_topologies`` stream filtered by the embedded opens.  A
+        family placed by ``c[::-1]`` is its reverse placed by ``c``, so
+        many placements embed the same opens: each distinct set is checked
+        once.  The filtered streams are kept by prefix, largest open
+        first, so the sets that share a prefix share its filtering."""
+        filtered = {(): [t.masks for t in enumerate_topologies(ground_of(n))]}
+
+        def holding(opens):
+            if opens not in filtered:
+                filtered[opens] = [f for f in holding(opens[:-1]) if opens[-1] in f]
+            return filtered[opens]
+
+        cases = {}
+        for k in range(4):
+            placements = {p for c in combinations(range(n), k) for p in (c, c[::-1])}
+            for t in all_topologies(k):
+                for p in placements:
+                    embedded = sorted(sum(1 << j for i, j in enumerate(p) if m >> i & 1) for m in t.masks)
+                    opens = tuple(embedded[:0:-1])  # the empty set dropped: every family holds it
+                    if opens not in cases:
+                        placed = dict(zip(p, t.ground.labels))
+                        rest = iter(ground_of(n).labels[k:])
+                        labels = [placed[j] if j in placed else next(rest) for j in range(n)]
+                        cases[opens] = (t, make_ground_set(labels))
+        for opens, (t, superset) in cases.items():
+            assert [q.masks for q in parent_questions(t, superset)] == holding(opens)

@@ -53,15 +53,13 @@ MUTANTS = [
     # The lift keeps the families without the point exactly where two opens meet in it.
     ("kernel.py", "meet != point", "meet == point"),
     # The point search's families without the point emitted first.
-    ("kernel.py", "out = held + bare", "out = bare + held"),
+    ("kernel.py", "return held + bare", "return bare + held"),
     # The point search's families without the point dropped.
-    ("kernel.py", "out = held + bare", "out = held"),
+    ("kernel.py", "return held + bare", "return held"),
     # Each family without the point built with the point still in it.
     ("kernel.py", "bare.append((0, *opens[2:]))", "bare.append((0, *opens[1:]))"),
     # The memoised level itself handed out, not a copy the caller owns.
-    ("kernel.py", "out = list(_level(n))", "out = _level(n)"),
-    # A required mask off the ground ignored, as if never asked for.
-    ("kernel.py", "    if required >> full + 1:\n        return []\n", ""),
+    ("kernel.py", "return list(_level(n))", "return _level(n)"),
     # The least members' containment check skipped: a missing intersection passes.
     ("core.py", "if transitive and _union_closure", "if _union_closure"),
     # Duplicate labels let through, the later one taking a new bit.
@@ -84,8 +82,20 @@ MUTANTS = [
     ("core.py", "for i, label in enumerate(self.labels) if mask >> i & 1])", "for i, label in enumerate(self.labels) if mask >> i & 1][::-1])"),
     # Negative sizes let through the one size check.
     ("kernel.py", "if not 0 <= n <= MAX_N:", "if not n <= MAX_N:"),
-    # parent_questions looks up the superset's labels before its size.
-    ("enumeration.py", "    kernel.check_size(superset_ground.size)\n", ""),
+    # parent_questions looks up the superset's labels before its search.
+    (
+        "enumeration.py",
+        "    families = kernel.topology_masks(superset_ground.size)\n"
+        "    for m in t.masks[1:]:\n"
+        "        s = superset_ground.mask_of(t.ground.labels_of(m))\n",
+        "    embedded = [superset_ground.mask_of(t.ground.labels_of(m)) for m in t.masks[1:]]\n"
+        "    families = kernel.topology_masks(superset_ground.size)\n"
+        "    for s in embedded:\n",
+    ),
+    # Parent questions filtered by t's own masks, not their embedding in the superset.
+    ("enumeration.py", "families = [f for f in families if s in f]", "families = [f for f in families if m in f]"),
+    # The last open of t never filtered by.
+    ("enumeration.py", "for m in t.masks[1:]:", "for m in t.masks[1:-1]:"),
     # An unhashable label escapes mask_of as a TypeError.
     ("core.py", "except (KeyError, TypeError):", "except KeyError:"),
     # Two distinct grounds let through the census.
