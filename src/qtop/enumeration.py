@@ -4,6 +4,7 @@ efficiency, and parent questions on supersets."""
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from collections.abc import Iterator
 
@@ -55,18 +56,25 @@ def count_topologies(n: int) -> int:
 
 
 def enumeration_report(ground: GroundSet) -> EnumerationReport:
-    """Census of every topology on ``ground`` from A000798, one
-    constrained kernel search and A000110, with no per-topology work.
+    """Census of every topology on ``ground`` from the published tables
+    A000798 and A000110 and arithmetic: no kernel search and no
+    per-topology work.
 
     - The count is A000798(n), read from the kernel's table.
     - Every point has the same tally.  A permutation of the points maps
       the topologies on ``ground`` one-to-one onto themselves and carries
       the type of x to the type of its image, so one point's tally serves
       them all.
-    - x is type-2 iff every non-empty open contains x, so the type-2
-      tally is the length of the search whose every non-empty open
-      holds x (the one ``find_definite_questions`` runs); every other
-      topology leaves x type-1.
+    - x is type-2 iff x lies in every non-empty open, so iff x is in U_y
+      for every y: x is a least point of the specialization preorder.
+      Such a preorder is fixed by two choices: the class B of x, that is
+      the j other points y with y <= x, in C(n-1, j) ways, and any
+      preorder on the n-1-j points outside B, which all lie above B, in
+      A000798(n-1-j) ways.  The two choices together are a bijection, so
+      the type-2 tally is the sum over j of C(n-1, j) A000798(n-1-j):
+      1, 2, 7, 45, 500 for n = 1 .. 5, the lengths of the searches
+      ``find_definite_questions`` runs.  Every other topology leaves x
+      type-1.
     - A topology equals its negation iff its specialization preorder
       ``y in U_x`` is symmetric (Alexandroff, 1937: a finite topology is
       its preorder).  A symmetric preorder is an equivalence relation,
@@ -76,8 +84,9 @@ def enumeration_report(ground: GroundSet) -> EnumerationReport:
     """
     n = ground.size
     count = count_topologies(n)
-    # Point 0 stands for every point; on the empty ground it goes unused.
-    definite = len(kernel.topology_masks(n, point=1))
+    # One point stands for every point; on the empty ground the sum is
+    # empty and no label uses it.
+    definite = sum(math.comb(n - 1, j) * kernel.A000798[n - 1 - j] for j in range(n))
     census = {
         label: {
             QuestionType.TYPE_I.value: count - definite,

@@ -314,22 +314,36 @@ class TestEnumerationReport:
         report = enumeration_report(ground_of(4))
         assert report.count == KNOWN_COUNTS[4]
 
-    def test_runs_one_constrained_search(self, monkeypatch):
-        """The count comes from A000798 and draws nothing from the kernel;
-        the type-2 tally of one point is one constrained search: 45 masks
-        on 4 points."""
-        search = kernel.topology_masks
+    def test_draws_nothing_from_the_kernel(self, monkeypatch):
+        """The count and the census are read from tables and summed: no
+        kernel search runs and no level is built."""
         drawn = []
 
-        def record(*args, **kwargs):
-            out = search(*args, **kwargs)
-            drawn.append(len(out))
-            return out
+        def record(name):
+            real = getattr(kernel, name)
 
-        monkeypatch.setattr(kernel, "topology_masks", record)
-        enumeration_report(ground_of(4))
-        count_topologies(5)
-        assert drawn == [45]
+            def call(*args, **kwargs):
+                drawn.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in ("topology_masks", "_level", "_meeting"):
+            monkeypatch.setattr(kernel, name, record(name))
+        for n in range(6):
+            enumeration_report(ground_of(n))
+            count_topologies(n)
+        assert drawn == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_type_2_tally_is_the_length_of_the_point_search(self, n):
+        """Each label's type-2 tally against the search whose every
+        non-empty open holds that label's point: the reference at n = 5,
+        where the oracle does not reach."""
+        g = ground_of(n)
+        report = enumeration_report(g)
+        for i, label in enumerate(g.labels):
+            assert report.census[label]["type-2"] == len(kernel.topology_masks(n, point=1 << i))
 
 
 class TestFindDefiniteQuestions:

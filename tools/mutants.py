@@ -50,14 +50,16 @@ MUTANTS = [
     ("kernel.py", "below = [o for o in t if not o & u]", "below = list(t)"),
     # A level left in the order its extensions came out.
     ("kernel.py", "    out.sort()\n    return tuple(out)", "    return tuple(out)"),
-    # The lift keeps the families without the point exactly where two opens meet in it.
-    ("kernel.py", "meet != point", "meet == point"),
+    # The families without the point kept exactly where two opens meet in it.
+    ("kernel.py", "int.__and__, t[1:], full))", "int.__and__, t[1:], full) == 0)"),
+    # The smallest non-empty open left out of the meet.
+    ("kernel.py", "int.__and__, t[1:], full))", "int.__and__, t[2:], full))"),
     # The point search's families without the point emitted first.
-    ("kernel.py", "return held + bare", "return bare + held"),
+    ("kernel.py", "return held + [(0, *map(lift, t[1:])) for t in _meeting(m)]", "return [(0, *map(lift, t[1:])) for t in _meeting(m)] + held"),
     # The point search's families without the point dropped.
-    ("kernel.py", "return held + bare", "return held"),
+    ("kernel.py", "return held + [(0, *map(lift, t[1:])) for t in _meeting(m)]", "return held"),
     # Each family without the point built with the point still in it.
-    ("kernel.py", "bare.append((0, *opens[2:]))", "bare.append((0, *opens[1:]))"),
+    ("kernel.py", "(0, *map(lift, t[1:]))", "(0, *map(lift, t))"),
     # The memoised level itself handed out, not a copy the caller owns.
     ("kernel.py", "return list(_level(n))", "return _level(n)"),
     # The least members' containment check skipped: a missing intersection passes.
@@ -162,6 +164,12 @@ MUTANTS = [
     ("kernel.py", "    if full == 0:\n        return [(0,)]\n", ""),
     # The type-1 tally counts the type-2 topologies too.
     ("enumeration.py", "QuestionType.TYPE_I.value: count - definite,", "QuestionType.TYPE_I.value: count,"),
+    # The class of x chosen among all n points, x included.
+    ("enumeration.py", "math.comb(n - 1, j)", "math.comb(n, j)"),
+    # The points above x's class counted with x.
+    ("enumeration.py", "A000798[n - 1 - j]", "A000798[n - j]"),
+    # x's class never holding every other point.
+    ("enumeration.py", "for j in range(n))", "for j in range(n - 1))"),
     # An iterator of points consumed by the repeat check.
     ("calculus.py", "    order = list(order)\n", ""),
     # Every point, not only text, hashed by the repeat check.
